@@ -7,7 +7,7 @@ with entropy-regularized closed-form weights concentrating the denominator
 on boundary-region pairs.
 """
 
-from .augment import AugmentConfig, augment_batch, make_pair
+from .augment import AugmentConfig, augment_batch
 from .config import DimsSpec, TrainConfig, config_from_dict, load_config
 from .data import Dataset, generate_blobs, load_csv, save_csv, standardize
 from .errors import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractViolationError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -45,28 +45,7 @@ class AugmentConfig:
         )
 
 
-def _one_view(rng: np.random.Generator, cfg: AugmentConfig, x: np.ndarray) -> np.ndarray:
-    noise = rng.standard_normal(x.size)
-    mask_draw = rng.random(x.size)
-    lo, hi = cfg.scale_range
-    scale = rng.uniform(lo, hi)
-    y = x + cfg.gaussian_noise_sigma * noise if cfg.gaussian_noise_sigma > 0 else x.copy()
-    if cfg.mask_rate > 0:
-        y[mask_draw < cfg.mask_rate] = 0.0
-    return y * scale
-
-
-def make_pair(rng: np.random.Generator, cfg: AugmentConfig, x) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent transformed views of one sample row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("make_pair expects a 1-D sample row")
-    return _one_view(rng, cfg, x), _one_view(rng, cfg, x)
-
-
-def row_generator(base_key: int, row_key: int) -> np.random.Generator:
-    """Counter-based generator for one row: Philox keyed by (base_key, row_key)."""
-    return np.random.Generator(np.random.Philox(key=(int(base_key) << 64) + int(row_key)))
+_WORD = (1 << 64) - 1
 
 
 def augment_batch(
@@ -75,23 +54,43 @@ def augment_batch(
     base_key: int,
     row_keys=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise :func:`make_pair` over a batch.
+    """Two independent transformed views of every row of a batch.
 
-    ``row_keys`` defaults to the row positions; passing stable per-sample
-    keys makes augmentation independent of batch composition and ordering.
+    Row r draws from Philox keyed by ``(base_key << 64) + row_keys[r]``:
+    view a's d normals, d mask uniforms and one scale uniform, then view
+    b's.  Draws are consumed whatever the config, so a row's views depend
+    only on (row content, its key, config).  ``row_keys`` defaults to the
+    row positions; passing stable per-sample keys makes augmentation
+    independent of batch composition and ordering.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("augment_batch expects a 2-D batch")
-    n = x.shape[0]
+    n, d = x.shape
     if row_keys is None:
         row_keys = np.arange(n)
     row_keys = np.asarray(row_keys, dtype=np.int64)
     if row_keys.shape != (n,):
         raise ShapeError(f"row_keys must have shape ({n},), got {row_keys.shape}")
-    x_a = np.empty_like(x)
-    x_b = np.empty_like(x)
-    for r in range(n):
-        rng = row_generator(base_key, int(row_keys[r]))
-        x_a[r], x_b[r] = make_pair(rng, cfg, x[r])
-    return x_a, x_b
+    noise = np.empty((2, n, d))
+    u = np.empty((2, n, d + 1))  # d mask draws, then the scale draw
+    bit_gen = np.random.Philox(key=0)
+    start = bit_gen.state  # zero counter, empty buffer: where Philox(key=k) begins
+    rng = np.random.Generator(bit_gen)
+    base = int(base_key) << 64
+    for r, row_key in enumerate(row_keys.tolist()):
+        key = base + row_key
+        if not 0 <= key < 1 << 128:
+            raise ContractViolationError(f"row key {key} is outside the 128-bit Philox key range")
+        start["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+        bit_gen.state = start
+        for v in range(2):
+            rng.standard_normal(out=noise[v, r])
+            rng.random(out=u[v, r])
+    lo, hi = cfg.scale_range
+    sigma = cfg.gaussian_noise_sigma
+    y = x + sigma * noise if sigma > 0 else np.broadcast_to(x, noise.shape).copy()
+    if cfg.mask_rate > 0:
+        y[u[:, :, :d] < cfg.mask_rate] = 0.0
+    y *= (lo + (hi - lo) * u[:, :, d])[:, :, None]
+    return y[0], y[1]

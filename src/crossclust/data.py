@@ -141,6 +141,9 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a headered numeric CSV; map the label column (if named) to a 0-based partition.
 
+    Feature cells must be finite numbers; a non-numeric, ``nan`` or ``inf``
+    cell raises :class:`CsvFormatError` with its 1-based row and column.
+
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
     trip reproduces the matrix bit-exactly.
@@ -179,6 +182,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     if not rows:
         raise CsvFormatError(f"{path} has a header but no data rows")
     x = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise CsvFormatError(
+            f"non-finite cell {x[r, c]!r}", row=int(r) + 2, col=feature_idx[c] + 1
+        )
     truth = None
     if label_idx is not None:
         seen: dict[str, int] = {}

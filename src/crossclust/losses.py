@@ -127,30 +127,31 @@ def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:
     return (d_s + d_s.T) @ z_stacked
 
 
-def init_instance_loss(z_stacked: Matrix, tau_i: float) -> tuple[float, Matrix]:
+def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
     """Normalized-temperature cross-entropy where each row's sole positive is its twin.
 
-    Returns the mean loss over 2N anchors and its analytic gradient w.r.t.
-    the stacked embeddings.
+    ``s`` holds the similarities of the stacked embeddings.  Returns the mean
+    loss over 2N anchors and its analytic gradient w.r.t. ``s``; pull it back
+    to the embeddings with :func:`chain_to_embeddings`.
     """
     if not tau_i > 0:
         raise ConfigError("tau_I", f"temperature must be positive, got {tau_i}")
-    z = np.asarray(z_stacked, dtype=np.float64)
-    if z.ndim != 2:
-        raise ShapeError("z_stacked must be 2-D")
-    n2 = z.shape[0]
+    s = _check_square(s)
+    n2 = s.shape[0]
     twins = twin_indices(n2)
-    logits = (z @ z.T) / tau_i
+    logits = s / tau_i
     off_diag = ~np.eye(n2, dtype=bool)
     log_den = row_log_sum_exp(logits, off_diag)
     anchors = np.arange(n2)
     per_anchor = log_den - logits[anchors, twins]
     loss = float(per_anchor.mean())
 
-    p = np.where(off_diag, np.exp(logits - log_den[:, None]), 0.0)
+    p = logits - log_den[:, None]  # updated in place: one 2N x 2N temporary, not three
+    np.exp(p, out=p)
+    np.fill_diagonal(p, 0.0)
     p[anchors, twins] -= 1.0
-    d_s = p / (n2 * tau_i)
-    return loss, (d_s + d_s.T) @ z
+    p /= n2 * tau_i
+    return loss, p
 
 
 def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Matrix, Matrix]:

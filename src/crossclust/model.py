@@ -111,10 +111,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     return map_params(np.zeros_like, params)
 
 
-def add_params(a: ModelParams, b: ModelParams) -> ModelParams:
-    return map_params(np.add, a, b)
-
-
 def init_params(seed, dims: ModelDims) -> ModelParams:
     """Deterministic fan-in-scaled Gaussian weights, zero biases."""
     rng = np.random.default_rng(seed)
@@ -340,10 +336,25 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not a checkpoint (not UTF-8 JSON, a missing key or field,
+    a block of the wrong shape) raises :class:`ConfigError` naming the path.
+    """
+    try:
+        return _params_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise ConfigError("checkpoint", f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("checkpoint", f"{path}: {exc}") from None
+
+
+def _params_from_payload(payload) -> ModelParams:
+    if not isinstance(payload, dict):
+        raise ValueError("top level is not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError("checkpoint", f"unsupported format_version {version!r}")
+        raise ValueError(f"unsupported format_version {version!r}")
     d = payload["dims"]
     dims = ModelDims(
         input_dim=int(d["input_dim"]),
@@ -355,13 +366,12 @@ def load_checkpoint(path) -> ModelParams:
 
     def read_block(name, expected_shape):
         if name not in blocks:
-            raise ConfigError("checkpoint", f"missing parameter block '{name}'")
+            raise ValueError(f"missing parameter block '{name}'")
         block = blocks[name]
         data = np.asarray(block["data"], dtype=np.float64).reshape(block["shape"])
         if data.shape != tuple(expected_shape):
-            raise ConfigError(
-                "checkpoint",
-                f"block '{name}' has shape {data.shape}, expected {tuple(expected_shape)}",
+            raise ValueError(
+                f"block '{name}' has shape {data.shape}, expected {tuple(expected_shape)}"
             )
         return data
 

@@ -80,7 +80,8 @@ def row_log_sum_exp(x: Matrix, include: Matrix) -> np.ndarray:
         raise ShapeError(f"row {int(np.argmin(counts))} selects no entries")
     masked = np.where(include, x, -np.inf)
     m = masked.max(axis=1)
-    return m + np.log(np.exp(masked - m[:, None]).sum(axis=1))
+    masked -= m[:, None]
+    return m + np.log(np.exp(masked, out=masked).sum(axis=1))
 
 
 def entropy(p) -> float:

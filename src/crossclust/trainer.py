@@ -38,7 +38,6 @@ from .model import (
     AdamState,
     ModelDims,
     ModelParams,
-    add_params,
     adam_step,
     backward,
     forward,
@@ -70,7 +69,6 @@ class EpochRecord:
 class RunHistory:
     config: dict
     records: list[EpochRecord] = field(default_factory=list)
-    checkpoint_path: str | None = None
 
 
 def write_history(records, path) -> None:
@@ -197,24 +195,21 @@ def train_init(
         for b, idx in _epoch_batches(seed, STAGE_INIT, epoch, data.n, config.batch_size):
             key = _batch_key(seed, STAGE_INIT, epoch, b)
             x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
-            cache_a = forward(params, x_a)
-            cache_b = forward(params, x_b)
-            z = np.vstack([cache_a.z, cache_b.z])
-            loss_inst, d_z = init_instance_loss(z, config.tau_I)
-            loss_clu, d_ca, d_cb = init_cluster_loss(cache_a.c, cache_b.c, config.tau_C)
+            cache = forward(params, np.vstack([x_a, x_b]))
+            n = len(idx)
+            s = similarity_matrix(cache.z)
+            loss_inst, d_s = init_instance_loss(s, config.tau_I)
+            loss_clu, d_ca, d_cb = init_cluster_loss(cache.c[:n], cache.c[n:], config.tau_C)
             loss = loss_inst + loss_clu
             if not np.isfinite(loss):
                 raise _abort_diagnostic(
                     STAGE_INIT, epoch, b, {"instance": loss_inst, "cluster": loss_clu}
                 )
-            n = len(idx)
-            grads = add_params(
-                backward(params, cache_a, d_z[:n], d_ca),
-                backward(params, cache_b, d_z[n:], d_cb),
-            )
+            d_z = chain_to_embeddings(d_s, cache.z)
+            grads = backward(params, cache, d_z, np.vstack([d_ca, d_cb]))
             params, state = adam_step(params, grads, state, lr=config.init_lr)
             losses.append(loss)
-            pairs.append(count_positive_pairs(positive_mask(similarity_matrix(z), config.zeta)))
+            pairs.append(count_positive_pairs(positive_mask(s, config.zeta)))
         metrics = evaluate(params, data) if data.truth is not None else {}
         records.append(
             _record(STAGE_INIT, epoch, float(np.mean(losses)), float(np.mean(pairs)), metrics)
@@ -231,10 +226,8 @@ def _c3_pass(params, config, data, seed, epoch, state):
     for b, idx in _epoch_batches(seed, STAGE_C3, epoch, data.n, config.batch_size):
         key = _batch_key(seed, STAGE_C3, epoch, b)
         x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
-        cache_a = forward(params, x_a)
-        cache_b = forward(params, x_b)
-        z = np.vstack([cache_a.z, cache_b.z])
-        sim = similarity_matrix(z)
+        cache = forward(params, np.vstack([x_a, x_b]))
+        sim = similarity_matrix(cache.z)
         mask = positive_mask(sim, config.zeta)
         weights = compute_weights(sim, config.gamma)  # frozen: constants for the gradient
         loss, d_s = c3_loss(sim, mask, weights)
@@ -243,13 +236,8 @@ def _c3_pass(params, config, data, seed, epoch, state):
         losses.append(loss)
         pairs.append(count_positive_pairs(mask))
         if update:
-            d_z = chain_to_embeddings(d_s, z)
-            n = len(idx)
-            zero_c = np.zeros_like(cache_a.c)
-            grads = add_params(
-                backward(params, cache_a, d_z[:n], zero_c),
-                backward(params, cache_b, d_z[n:], zero_c),
-            )
+            d_z = chain_to_embeddings(d_s, cache.z)
+            grads = backward(params, cache, d_z, np.zeros_like(cache.c))
             params, state = adam_step(params, grads, state, lr=config.c3_lr)
     return params, state, float(np.mean(losses)), float(np.mean(pairs))
 

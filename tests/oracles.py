@@ -160,3 +160,35 @@ def central_difference(f, x, eps=1e-5) -> np.ndarray:
         grad[idx] = (f(xp) - f(xm)) / (2 * eps)
         it.iternext()
     return grad
+
+
+def augment_batch_rowwise(cfg, x, base_key, row_keys=None):
+    """Per-row reference for batch augmentation: a fresh Philox generator per row.
+
+    Row r draws from ``Philox(key=(base_key << 64) + row_keys[r])``; each view
+    takes d normals, d mask uniforms and one ``uniform(lo, hi)`` scale, view a
+    first.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    if row_keys is None:
+        row_keys = np.arange(n)
+    lo, hi = cfg.scale_range
+
+    def one_view(rng, row):
+        noise = rng.standard_normal(row.size)
+        mask_draw = rng.random(row.size)
+        scale = rng.uniform(lo, hi)
+        y = row + cfg.gaussian_noise_sigma * noise if cfg.gaussian_noise_sigma > 0 else row.copy()
+        if cfg.mask_rate > 0:
+            y[mask_draw < cfg.mask_rate] = 0.0
+        return y * scale
+
+    x_a = np.empty_like(x)
+    x_b = np.empty_like(x)
+    for r in range(n):
+        key = (int(base_key) << 64) + int(row_keys[r])
+        rng = np.random.Generator(np.random.Philox(key=key))
+        x_a[r] = one_view(rng, x[r])
+        x_b[r] = one_view(rng, x[r])
+    return x_a, x_b

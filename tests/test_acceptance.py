@@ -23,7 +23,7 @@ from crossclust.losses import (
     positive_mask,
 )
 from crossclust.metrics import Partition, accuracy, ari, hungarian, nmi
-from crossclust.model import ModelDims, add_params, backward, forward, grad_check, init_params
+from crossclust.model import ModelDims, backward, forward, grad_check, init_params
 from crossclust.numerics import row_l2_normalize, row_softmax, similarity_matrix
 from crossclust.trainer import _c3_pass, train_c3, train_init
 
@@ -131,7 +131,7 @@ class TestAcceptance:
                 assert got == pytest.approx(want, abs=1e-10)
 
                 tau_i = float(rng.uniform(0.2, 1.5))
-                got_i, _ = init_instance_loss(z, tau_i)
+                got_i, _ = init_instance_loss(s, tau_i)
                 assert got_i == pytest.approx(instance_loss_scalar(z.tolist(), tau_i), abs=1e-10)
 
                 c_a = row_softmax(rng.normal(size=(n, m)))
@@ -150,32 +150,24 @@ class TestAcceptance:
             x_a = rng.normal(size=(6, 6))
             x_b = rng.normal(size=(6, 6))
             n = x_a.shape[0]
+            x = np.vstack([x_a, x_b])  # both views in one pass, as in a training step
 
             def init_stage(p):
-                ca, cb = forward(p, x_a), forward(p, x_b)
-                z = np.vstack([ca.z, cb.z])
-                loss_i, d_z = init_instance_loss(z, 0.5)
-                loss_c, d_ca, d_cb = init_cluster_loss(ca.c, cb.c, 1.0)
-                grads = add_params(
-                    backward(p, ca, d_z[:n], d_ca), backward(p, cb, d_z[n:], d_cb)
-                )
-                return loss_i + loss_c, grads
+                cache = forward(p, x)
+                loss_i, d_s = init_instance_loss(similarity_matrix(cache.z), 0.5)
+                loss_c, d_ca, d_cb = init_cluster_loss(cache.c[:n], cache.c[n:], 1.0)
+                d_z = chain_to_embeddings(d_s, cache.z)
+                return loss_i + loss_c, backward(p, cache, d_z, np.vstack([d_ca, d_cb]))
 
-            base_a, base_b = forward(params, x_a), forward(params, x_b)
-            s0 = similarity_matrix(np.vstack([base_a.z, base_b.z]))
+            s0 = similarity_matrix(forward(params, x).z)
             mask0 = positive_mask(s0, 0.3)
             w0 = compute_weights(s0, 0.1)
 
             def c3_stage(p):
-                ca, cb = forward(p, x_a), forward(p, x_b)
-                z = np.vstack([ca.z, cb.z])
-                loss, d_s = c3_loss(similarity_matrix(z), mask0, w0)
-                d_z = chain_to_embeddings(d_s, z)
-                zero_c = np.zeros_like(ca.c)
-                grads = add_params(
-                    backward(p, ca, d_z[:n], zero_c), backward(p, cb, d_z[n:], zero_c)
-                )
-                return loss, grads
+                cache = forward(p, x)
+                loss, d_s = c3_loss(similarity_matrix(cache.z), mask0, w0)
+                d_z = chain_to_embeddings(d_s, cache.z)
+                return loss, backward(p, cache, d_z, np.zeros_like(cache.c))
 
             # every coordinate of the <= 2k parameter net
             assert grad_check(params, init_stage, eps=1e-5) <= 1e-4
@@ -183,8 +175,9 @@ class TestAcceptance:
 
             # z-level gradients at 1e-6 relative error
             z = row_l2_normalize(rng.normal(size=(10, 5)))
-            _, d_z = init_instance_loss(z, 0.5)
-            numeric = central_difference(lambda m: init_instance_loss(m, 0.5)[0], z, eps=1e-5)
+            _, d_s = init_instance_loss(z @ z.T, 0.5)
+            d_z = chain_to_embeddings(d_s, z)
+            numeric = central_difference(lambda m: init_instance_loss(m @ m.T, 0.5)[0], z, eps=1e-5)
             rel = np.abs(d_z - numeric) / np.maximum.reduce(
                 [np.abs(d_z), np.abs(numeric), np.full_like(d_z, 1e-3)]
             )

@@ -164,6 +164,40 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"), "--data", str(blobs_csv)])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dims"}),
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "blocks"}),
+            lambda text: text.replace('"z_dim"', '"zdim"'),
+            lambda text: text.replace('"data"', '"values"', 1),
+            lambda text: "[1, 2]",
+            lambda text: "\xff" + text,  # written as latin-1: not UTF-8
+        ],
+        ids=[
+            "bad_json",
+            "no_dims",
+            "no_blocks",
+            "no_dims_field",
+            "no_block_field",
+            "not_object",
+            "not_utf8",
+        ],
+    )
+    def test_malformed_checkpoint_is_one_line_error(self, blobs_csv, tmp_path, capsys, damage):
+        from crossclust.model import ModelDims, init_params, save_checkpoint
+
+        path = tmp_path / "damaged.json"
+        save_checkpoint(init_params(0, ModelDims(input_dim=5, num_clusters=3)), path)
+        path.write_text(damage(path.read_text()), encoding="latin-1")
+        code = main(["eval", "--checkpoint", str(path), "--data", str(blobs_csv)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error:" in err and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestReport:
     def test_single_run_rows_match_history(self, trained_dir, capsys):

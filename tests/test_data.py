@@ -113,6 +113,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match=r"row 3, col 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_cell_position_reported(self, tmp_path, cell):
+        # the label column sits first, so the column is counted in file order
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,a,b\n0,1.0,2.0\n1,3.0,4.0\n1,5.0,{cell}\n")
+        with pytest.raises(CsvFormatError, match=r"non-finite.*row 4, col 3") as exc:
+            load_csv(path, label_column="label")
+        assert (exc.value.row, exc.value.col) == (4, 3)
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"
         path.write_text("a,b\n1.0,2.0\n")

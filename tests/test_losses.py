@@ -266,7 +266,7 @@ class TestChainToEmbeddings:
 class TestInitInstanceLoss:
     def test_equal_similarities_n2_gives_log3(self):
         z = np.tile(row_l2_normalize(np.array([[0.6, 0.8]])), (4, 1))
-        loss, _ = init_instance_loss(z, 0.5)
+        loss, _ = init_instance_loss(similarity_matrix(z), 0.5)
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -275,14 +275,15 @@ class TestInitInstanceLoss:
             n = int(rng.integers(2, 17))
             tau = float(rng.uniform(0.1, 2.0))
             z = random_embeddings(rng, n, 6)
-            loss, _ = init_instance_loss(z, tau)
+            loss, _ = init_instance_loss(similarity_matrix(z), tau)
             assert loss == pytest.approx(instance_loss_scalar(z.tolist(), tau), abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         z = random_embeddings(rng, 5, 4)
-        _, d_z = init_instance_loss(z, 0.5)
-        numeric = central_difference(lambda m: init_instance_loss(m, 0.5)[0], z, eps=1e-5)
+        _, d_s = init_instance_loss(z @ z.T, 0.5)
+        d_z = chain_to_embeddings(d_s, z)
+        numeric = central_difference(lambda m: init_instance_loss(m @ m.T, 0.5)[0], z, eps=1e-5)
         np.testing.assert_allclose(d_z, numeric, atol=1e-5)
 
     def test_temperature_must_be_positive(self):

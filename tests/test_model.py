@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from crossclust.errors import ConfigError, NonFiniteError, ShapeError
-from crossclust.losses import init_cluster_loss, init_instance_loss
+from crossclust.losses import chain_to_embeddings, init_cluster_loss, init_instance_loss
 from crossclust.model import (
     AdamState,
     ModelDims,
     adam_step,
-    add_params,
     backward,
     forward,
     grad_check,
@@ -17,6 +16,7 @@ from crossclust.model import (
     save_checkpoint,
     zeros_like_params,
 )
+from crossclust.numerics import similarity_matrix
 
 SMALL_DIMS = ModelDims(input_dim=6, encoder_hidden=(16, 8), z_dim=4, num_clusters=3)
 
@@ -26,18 +26,17 @@ def params_equal(a, b):
 
 
 def init_stage_loss(x_a, x_b, tau_i=0.5, tau_c=1.0):
-    """Combined initialization objective as a function of the parameters."""
+    """Combined initialization objective as a function of the parameters,
+    computed like a training step: both views stacked in one forward/backward."""
+    n = x_a.shape[0]
+    x = np.vstack([x_a, x_b])
 
     def fn(p):
-        ca = forward(p, x_a)
-        cb = forward(p, x_b)
-        n = x_a.shape[0]
-        z = np.vstack([ca.z, cb.z])
-        loss_i, d_z = init_instance_loss(z, tau_i)
-        loss_c, d_ca, d_cb = init_cluster_loss(ca.c, cb.c, tau_c)
-        grads = add_params(
-            backward(p, ca, d_z[:n], d_ca), backward(p, cb, d_z[n:], d_cb)
-        )
+        cache = forward(p, x)
+        loss_i, d_s = init_instance_loss(similarity_matrix(cache.z), tau_i)
+        loss_c, d_ca, d_cb = init_cluster_loss(cache.c[:n], cache.c[n:], tau_c)
+        d_z = chain_to_embeddings(d_s, cache.z)
+        grads = backward(p, cache, d_z, np.vstack([d_ca, d_cb]))
         return loss_i + loss_c, grads
 
     return fn
@@ -151,6 +150,26 @@ class TestBackward:
         p = init_params(9, SMALL_DIMS)
         err = grad_check(p, init_stage_loss(x_a, x_b), eps=1e-5)
         assert err <= 1e-4
+
+    def test_stacked_pass_equals_per_view_passes(self):
+        # one forward/backward over both views stacked == two per-view passes summed
+        rng = np.random.default_rng(10)
+        p = init_params(11, SMALL_DIMS)
+        n = 7
+        x_a, x_b = rng.normal(size=(2, n, 6))
+        cache = forward(p, np.vstack([x_a, x_b]))
+        cache_a, cache_b = forward(p, x_a), forward(p, x_b)
+        np.testing.assert_allclose(cache.z, np.vstack([cache_a.z, cache_b.z]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.c, np.vstack([cache_a.c, cache_b.c]), rtol=0, atol=1e-12)
+        g_z = rng.normal(size=cache.z.shape)
+        g_c = rng.normal(size=cache.c.shape)
+        stacked = backward(p, cache, g_z, g_c)
+        per_a = backward(p, cache_a, g_z[:n], g_c[:n])
+        per_b = backward(p, cache_b, g_z[n:], g_c[n:])
+        for (name, got), (_, a), (_, b) in zip(
+            stacked.named_arrays(), per_a.named_arrays(), per_b.named_arrays()
+        ):
+            np.testing.assert_allclose(got, a + b, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestAdam:

@@ -6,7 +6,7 @@ from crossclust.data import generate_blobs
 from crossclust.errors import ConfigError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
-from crossclust.model import add_params, backward, forward, grad_check, init_params
+from crossclust.model import backward, forward, grad_check, init_params
 from crossclust.numerics import similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
@@ -112,25 +112,17 @@ class TestWeightFreezing:
         differences must match the implemented parameter gradient."""
         cfg = SMALL_CFG
         params, _ = train_init(cfg, small_data)
-        x_a = small_data.X[:8]
-        x_b = small_data.X[8:16]
+        x = small_data.X[:16]  # views a (rows 0-7) and b (rows 8-15), stacked
 
-        base_a, base_b = forward(params, x_a), forward(params, x_b)
-        z0 = np.vstack([base_a.z, base_b.z])
-        s0 = similarity_matrix(z0)
+        s0 = similarity_matrix(forward(params, x).z)
         mask0 = positive_mask(s0, cfg.zeta)
         w0 = compute_weights(s0, cfg.gamma)
 
         def frozen_loss(p):
-            ca, cb = forward(p, x_a), forward(p, x_b)
-            z = np.vstack([ca.z, cb.z])
-            loss, d_s = c3_loss(similarity_matrix(z), mask0, w0)
-            d_z = chain_to_embeddings(d_s, z)
-            zero_c = np.zeros_like(ca.c)
-            grads = add_params(
-                backward(p, ca, d_z[:8], zero_c), backward(p, cb, d_z[8:], zero_c)
-            )
-            return loss, grads
+            cache = forward(p, x)
+            loss, d_s = c3_loss(similarity_matrix(cache.z), mask0, w0)
+            d_z = chain_to_embeddings(d_s, cache.z)
+            return loss, backward(p, cache, d_z, np.zeros_like(cache.c))
 
         assert grad_check(params, frozen_loss, eps=1e-5, max_coords=300, seed=1) <= 1e-4
 
