@@ -42,7 +42,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import entropy, log_sum_exp, row_l2_normalize, similarity_matrix
+from .numerics import entropy, row_l2_normalize, similarity_matrix
 from .trainer import (
     EpochRecord,
     RunHistory,

@@ -142,43 +142,47 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a headered numeric CSV; map the label column (if named) to a 0-based partition.
 
     Feature cells must be finite numbers; a non-numeric, ``nan`` or ``inf``
-    cell raises :class:`CsvFormatError` with its 1-based row and column.
+    cell raises :class:`CsvFormatError` with its 1-based row and column.  A
+    file that is not UTF-8 raises :class:`CsvFormatError` naming the path.
 
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
     trip reproduces the matrix bit-exactly.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path} is empty") from None
-        label_idx = None
-        if label_column is not None:
-            if label_column not in header:
-                raise CsvFormatError(f"label column '{label_column}' not in header {header}")
-            label_idx = header.index(label_column)
-        feature_idx = [j for j in range(len(header)) if j != label_idx]
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise CsvFormatError(
-                    f"expected {len(header)} cells, found {len(record)}", row=line_no
-                )
-            values = []
-            for j in feature_idx:
-                try:
-                    values.append(float(record[j]))
-                except ValueError:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path} is empty") from None
+            label_idx = None
+            if label_column is not None:
+                if label_column not in header:
+                    raise CsvFormatError(f"label column '{label_column}' not in header {header}")
+                label_idx = header.index(label_column)
+            feature_idx = [j for j in range(len(header)) if j != label_idx]
+            rows: list[list[float]] = []
+            raw_labels: list[str] = []
+            for line_no, record in enumerate(reader, start=2):
+                if len(record) != len(header):
                     raise CsvFormatError(
-                        f"non-numeric cell {record[j]!r}", row=line_no, col=j + 1
-                    ) from None
-            rows.append(values)
-            if label_idx is not None:
-                raw_labels.append(record[label_idx])
+                        f"expected {len(header)} cells, found {len(record)}", row=line_no
+                    )
+                values = []
+                for j in feature_idx:
+                    try:
+                        values.append(float(record[j]))
+                    except ValueError:
+                        raise CsvFormatError(
+                            f"non-numeric cell {record[j]!r}", row=line_no, col=j + 1
+                        ) from None
+                rows.append(values)
+                if label_idx is not None:
+                    raw_labels.append(record[label_idx])
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise CsvFormatError(f"{path} has a header but no data rows")
     x = np.asarray(rows, dtype=np.float64)

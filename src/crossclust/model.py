@@ -5,12 +5,20 @@ embedding (z), the cluster head in row-softmaxed assignment probabilities
 (c).  Gradients are analytic reverse-mode, checked against central finite
 differences by :func:`grad_check`.  Parameters and optimizer state are plain
 float64 arrays so that training is bitwise reproducible for a fixed seed.
+
+All weights and biases live in one contiguous float64 vector,
+``ModelParams.flat``.  Blocks follow checkpoint order: segments encoder,
+instance head, cluster head; within a segment layer by layer, each layer's
+``(fan_in, fan_out)`` weight (row-major) then its ``(fan_out,)`` bias.  The
+per-layer arrays of ``ModelParams.encoder`` etc. are views into ``flat``, so
+gradients, Adam moments and finite-difference perturbations are flat
+vectors of the same layout.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +51,18 @@ class ModelDims:
             if int(value) < 1:
                 raise ConfigError(name, f"layer width must be positive, got {value}")
 
-    def encoder_sizes(self) -> list[int]:
-        return [self.input_dim, *self.encoder_hidden]
+    def segments(self):
+        """(name, layer widths) of each segment, in flat-vector order."""
+        yield "encoder", [self.input_dim, *self.encoder_hidden]
+        yield "instance_head", [self.encoder_hidden[-1], self.z_dim]
+        yield "cluster_head", [self.encoder_hidden[-1], self.num_clusters]
 
-    def instance_sizes(self) -> list[int]:
-        return [self.encoder_hidden[-1], self.z_dim]
-
-    def cluster_sizes(self) -> list[int]:
-        return [self.encoder_hidden[-1], self.num_clusters]
+    def num_parameters(self) -> int:
+        return sum(
+            (fan_in + 1) * fan_out
+            for _, sizes in self.segments()
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+        )
 
 
 @dataclass
@@ -61,73 +73,52 @@ class LinearLayer:
 
 @dataclass
 class ModelParams:
-    """Weights and biases of encoder f, instance head, and cluster head."""
+    """Weights and biases of encoder f, instance head, and cluster head.
+
+    ``flat`` holds every parameter; the layers are views into it, rebuilt on
+    construction.  Copy with ``dataclasses.replace(params, flat=...)``.
+    """
 
     dims: ModelDims
-    encoder: list[LinearLayer]
-    instance_head: list[LinearLayer]
-    cluster_head: list[LinearLayer]
+    flat: np.ndarray
+    encoder: list[LinearLayer] = field(init=False, repr=False)
+    instance_head: list[LinearLayer] = field(init=False, repr=False)
+    cluster_head: list[LinearLayer] = field(init=False, repr=False)
 
-    def segments(self):
-        yield "encoder", self.encoder
-        yield "instance_head", self.instance_head
-        yield "cluster_head", self.cluster_head
+    def __post_init__(self):
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        expected = (self.dims.num_parameters(),)
+        if self.flat.shape != expected:
+            raise ShapeError(f"flat parameters have shape {self.flat.shape}, dims need {expected}")
+        offset = 0
+        for seg_name, sizes in self.dims.segments():
+            layers = []
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+                end = offset + fan_in * fan_out
+                weight = self.flat[offset:end].reshape(fan_in, fan_out)
+                layers.append(LinearLayer(weight=weight, bias=self.flat[end : end + fan_out]))
+                offset = end + fan_out
+            setattr(self, seg_name, layers)
 
     def named_arrays(self):
-        """Yield (name, array) pairs in a fixed traversal order."""
-        for seg_name, layers in self.segments():
-            for k, layer in enumerate(layers):
+        """Yield (name, array) pairs in flat-vector (checkpoint) order."""
+        for seg_name, _ in self.dims.segments():
+            for k, layer in enumerate(getattr(self, seg_name)):
                 yield f"{seg_name}.{k}.weight", layer.weight
                 yield f"{seg_name}.{k}.bias", layer.bias
 
-    def copy(self) -> "ModelParams":
-        return map_params(lambda a: a.copy(), self)
-
     def num_parameters(self) -> int:
-        return sum(a.size for _, a in self.named_arrays())
-
-
-def map_params(fn, params: ModelParams, *others: ModelParams) -> ModelParams:
-    """Apply ``fn`` blockwise over one or more parameter containers of equal shape."""
-
-    def map_layers(layers, *other_layers):
-        return [
-            LinearLayer(
-                weight=fn(l.weight, *(o.weight for o in rest)),
-                bias=fn(l.bias, *(o.bias for o in rest)),
-            )
-            for l, *rest in zip(layers, *other_layers)
-        ]
-
-    return ModelParams(
-        dims=params.dims,
-        encoder=map_layers(params.encoder, *(o.encoder for o in others)),
-        instance_head=map_layers(params.instance_head, *(o.instance_head for o in others)),
-        cluster_head=map_layers(params.cluster_head, *(o.cluster_head for o in others)),
-    )
-
-
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return map_params(np.zeros_like, params)
+        return self.flat.size
 
 
 def init_params(seed, dims: ModelDims) -> ModelParams:
     """Deterministic fan-in-scaled Gaussian weights, zero biases."""
     rng = np.random.default_rng(seed)
-
-    def make_chain(sizes):
-        layers = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-            layers.append(LinearLayer(weight=w, bias=np.zeros(fan_out)))
-        return layers
-
-    return ModelParams(
-        dims=dims,
-        encoder=make_chain(dims.encoder_sizes()),
-        instance_head=make_chain(dims.instance_sizes()),
-        cluster_head=make_chain(dims.cluster_sizes()),
-    )
+    params = ModelParams(dims=dims, flat=np.zeros(dims.num_parameters()))
+    for name, arr in params.named_arrays():
+        if name.endswith(".weight"):
+            arr[...] = rng.standard_normal(arr.shape) / np.sqrt(arr.shape[0])
+    return params
 
 
 @dataclass
@@ -178,24 +169,25 @@ def forward(params: ModelParams, x) -> ForwardCache:
     )
 
 
-def _chain_backward(layers, pres, x, d_out, relu_last: bool):
-    """Backprop a linear/ReLU chain; returns (layer grads, grad wrt chain input)."""
-    grads = [None] * len(layers)
+def _chain_backward(layers, grads, pres, x, d_out, relu_last: bool = False):
+    """Backprop a linear/ReLU chain into the layers ``grads``; returns the grad wrt chain input."""
     last = len(layers) - 1
     da = d_out
     for k in range(last, -1, -1):
         d_pre = da * (pres[k] > 0) if (k < last or relu_last) else da
         a_in = np.maximum(pres[k - 1], 0.0) if k > 0 else x
-        grads[k] = LinearLayer(weight=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
+        np.matmul(a_in.T, d_pre, out=grads[k].weight)
+        d_pre.sum(axis=0, out=grads[k].bias)
         da = d_pre @ layers[k].weight.T
-    return grads, da
+    return da
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_z, grad_c) -> ModelParams:
     """Parameter gradients for upstream gradients w.r.t. z and c.
 
     Either gradient may be zero (stage-dependent).  The z path includes the
-    row-normalization Jacobian, the c path the softmax Jacobian.
+    row-normalization Jacobian, the c path the softmax Jacobian.  Every block
+    is written into one fresh flat vector.
     """
     grad_z = np.asarray(grad_z, dtype=np.float64)
     grad_c = np.asarray(grad_c, dtype=np.float64)
@@ -207,39 +199,35 @@ def backward(params: ModelParams, cache: ForwardCache, grad_z, grad_c) -> ModelP
     # z = y / ||y||  =>  dL/dy = (g - (g . z) z) / ||y||
     zdot = (grad_z * cache.z).sum(axis=1, keepdims=True)
     d_yz = (grad_z - zdot * cache.z) / cache.z_norms[:, None]
-    instance_grads, dh_i = _chain_backward(
-        params.instance_head, cache.instance_pre, cache.h, d_yz, relu_last=False
+    grads = replace(params, flat=np.empty_like(params.flat))
+    dh_i = _chain_backward(
+        params.instance_head, grads.instance_head, cache.instance_pre, cache.h, d_yz
     )
 
     # c = softmax(y)  =>  dL/dy = c * (g - sum(g * c))
     cdot = (grad_c * cache.c).sum(axis=1, keepdims=True)
     d_yc = cache.c * (grad_c - cdot)
-    cluster_grads, dh_c = _chain_backward(
-        params.cluster_head, cache.cluster_pre, cache.h, d_yc, relu_last=False
+    dh_c = _chain_backward(
+        params.cluster_head, grads.cluster_head, cache.cluster_pre, cache.h, d_yc
     )
 
-    encoder_grads, _ = _chain_backward(
-        params.encoder, cache.encoder_pre, cache.x, dh_i + dh_c, relu_last=True
+    _chain_backward(
+        params.encoder, grads.encoder, cache.encoder_pre, cache.x, dh_i + dh_c, relu_last=True
     )
-    return ModelParams(
-        dims=params.dims,
-        encoder=encoder_grads,
-        instance_head=instance_grads,
-        cluster_head=cluster_grads,
-    )
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """First/second moment accumulators, flat vectors laid out like ``ModelParams.flat``."""
 
-    m: ModelParams
-    v: ModelParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(m=zeros_like_params(params), v=zeros_like_params(params), step=0)
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), step=0)
 
 
 def adam_step(
@@ -254,30 +242,17 @@ def adam_step(
     """One bias-corrected Adam update; returns fresh params and state."""
     if lr <= 0:
         raise ConfigError("lr", f"learning rate must be positive, got {lr}")
-    for name, g in grads.named_arrays():
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient in block '{name}'")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        name = next(name for name, a in grads.named_arrays() if not np.isfinite(a).all())
+        raise NonFiniteError(f"non-finite gradient in block '{name}'")
     t = state.step + 1
-    new_m = map_params(lambda m, g: beta1 * m + (1.0 - beta1) * g, state.m, grads)
-    new_v = map_params(lambda v, g: beta2 * v + (1.0 - beta2) * g * g, state.v, grads)
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    new_params = map_params(
-        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps),
-        params,
-        new_m,
-        new_v,
-    )
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
-
-
-def _perturbed(params: ModelParams, target_name: str, flat_index: int, delta: float) -> ModelParams:
-    out = params.copy()
-    for name, arr in out.named_arrays():
-        if name == target_name:
-            arr.flat[flat_index] += delta
-            return out
-    raise KeyError(target_name)
+    flat = params.flat - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return replace(params, flat=flat), AdamState(m=m, v=v, step=t)
 
 
 def grad_check(
@@ -291,26 +266,27 @@ def grad_check(
     """Worst relative disagreement between analytic and central-difference grads.
 
     ``loss_fn(params) -> (loss, ModelParams-shaped grads)`` must be
-    deterministic.  The relative error of a coordinate is
-    ``|a - n| / max(|a|, |n|, floor)``; the floor keeps finite-difference
-    roundoff on near-zero coordinates from dominating.  Reports only; never
-    raises on disagreement.
+    deterministic.  Coordinates are indices into ``params.flat``; with
+    ``max_coords`` a seeded sample of them is checked.  The relative error of
+    a coordinate is ``|a - n| / max(|a|, |n|, floor)``; the floor keeps
+    finite-difference roundoff on near-zero coordinates from dominating.
+    Reports only; never raises on disagreement.
     """
     _, analytic = loss_fn(params)
-    coords = []
-    for name, arr in analytic.named_arrays():
-        coords.extend((name, i) for i in range(arr.size))
+    coords = range(params.flat.size)
     if max_coords is not None and len(coords) > max_coords:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picks]
-    analytic_by_name = dict(analytic.named_arrays())
+        coords = rng.choice(len(coords), size=max_coords, replace=False)
+
+    def loss_at(i, delta):
+        flat = params.flat.copy()
+        flat[i] += delta
+        return loss_fn(replace(params, flat=flat))[0]
+
     worst = 0.0
-    for name, i in coords:
-        plus, _ = loss_fn(_perturbed(params, name, i, +eps))
-        minus, _ = loss_fn(_perturbed(params, name, i, -eps))
-        numeric = (plus - minus) / (2.0 * eps)
-        a = float(analytic_by_name[name].flat[i])
+    for i in coords:
+        numeric = (loss_at(i, +eps) - loss_at(i, -eps)) / (2.0 * eps)
+        a = float(analytic.flat[i])
         err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
         worst = max(worst, err)
     return worst
@@ -363,32 +339,13 @@ def _params_from_payload(payload) -> ModelParams:
         num_clusters=int(d["num_clusters"]),
     )
     blocks = payload["blocks"]
-
-    def read_block(name, expected_shape):
+    params = ModelParams(dims=dims, flat=np.zeros(dims.num_parameters()))
+    for name, arr in params.named_arrays():
         if name not in blocks:
             raise ValueError(f"missing parameter block '{name}'")
         block = blocks[name]
         data = np.asarray(block["data"], dtype=np.float64).reshape(block["shape"])
-        if data.shape != tuple(expected_shape):
-            raise ValueError(
-                f"block '{name}' has shape {data.shape}, expected {tuple(expected_shape)}"
-            )
-        return data
-
-    def read_chain(seg_name, sizes):
-        layers = []
-        for k, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            layers.append(
-                LinearLayer(
-                    weight=read_block(f"{seg_name}.{k}.weight", (fan_in, fan_out)),
-                    bias=read_block(f"{seg_name}.{k}.bias", (fan_out,)),
-                )
-            )
-        return layers
-
-    return ModelParams(
-        dims=dims,
-        encoder=read_chain("encoder", dims.encoder_sizes()),
-        instance_head=read_chain("instance_head", dims.instance_sizes()),
-        cluster_head=read_chain("cluster_head", dims.cluster_sizes()),
-    )
+        if data.shape != arr.shape:
+            raise ValueError(f"block '{name}' has shape {data.shape}, expected {arr.shape}")
+        arr[...] = data
+    return params

@@ -57,17 +57,6 @@ def similarity_matrix(z: Matrix) -> Matrix:
     return 0.5 * (s + s.T)
 
 
-def log_sum_exp(v) -> float:
-    """log(sum(exp(v))) via max shift; exact for a single element."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError("log_sum_exp expects a non-empty 1-D vector")
-    if not np.isfinite(v).all():
-        raise ContractViolationError("log_sum_exp requires finite entries")
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
-
-
 def row_log_sum_exp(x: Matrix, include: Matrix) -> np.ndarray:
     """Rowwise log-sum-exp over the entries selected by the boolean ``include``.
 

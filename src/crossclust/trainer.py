@@ -23,7 +23,7 @@ import numpy as np
 from .augment import augment_batch
 from .config import TrainConfig
 from .data import Dataset
-from .errors import ConfigError, CsvFormatError
+from .errors import ConfigError, CsvFormatError, NonFiniteError
 from .losses import (
     c3_loss,
     chain_to_embeddings,
@@ -137,7 +137,7 @@ def _check_batching(config: TrainConfig, data: Dataset) -> None:
 
 def _abort_diagnostic(stage, epoch, batch, parts):
     detail = ", ".join(f"{k}={v!r}" for k, v in parts.items())
-    return RuntimeError(
+    return NonFiniteError(
         f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {batch}: {detail}"
     )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossclust.cli import main
 from crossclust.config import DimsSpec, TrainConfig, config_from_dict, load_config
 from crossclust.data import Dataset, generate_blobs, load_csv, save_csv, standardize
 from crossclust.errors import ConfigError, CsvFormatError
@@ -121,6 +122,18 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match=r"non-finite.*row 4, col 3") as exc:
             load_csv(path, label_column="label")
         assert (exc.value.row, exc.value.col) == (4, 3)
+
+    def test_non_utf8_file_is_one_line_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n1.0,2.0\n3.0,4\xff\n")
+        code = main(["train", "--data", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error:" in err and str(path) in err and "UTF-8" in err
+        assert "Traceback" not in err
+        with pytest.raises(CsvFormatError, match="not UTF-8"):
+            load_csv(path)
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"

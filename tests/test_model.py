@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,17 +15,20 @@ from crossclust.model import (
     grad_check,
     init_params,
     load_checkpoint,
-    map_params,
     save_checkpoint,
-    zeros_like_params,
 )
 from crossclust.numerics import similarity_matrix
 
 SMALL_DIMS = ModelDims(input_dim=6, encoder_hidden=(16, 8), z_dim=4, num_clusters=3)
+CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.json"
 
 
 def params_equal(a, b):
     return all(np.array_equal(x, y) for (_, x), (_, y) in zip(a.named_arrays(), b.named_arrays()))
+
+
+def zeros_like(p):
+    return replace(p, flat=np.zeros_like(p.flat))
 
 
 def init_stage_loss(x_a, x_b, tau_i=0.5, tau_c=1.0):
@@ -98,8 +104,7 @@ class TestForward:
     def test_zero_weight_network_surfaces_degenerate_row(self):
         from crossclust.errors import DegenerateRowError
 
-        p = init_params(0, SMALL_DIMS)
-        p = map_params(np.zeros_like, p)
+        p = zeros_like(init_params(0, SMALL_DIMS))
         with pytest.raises(DegenerateRowError):
             forward(p, np.ones((2, 6)))
 
@@ -176,13 +181,13 @@ class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         p = init_params(0, SMALL_DIMS)
         state = AdamState.zeros(p)
-        new_p, new_state = adam_step(p, zeros_like_params(p), state, lr=0.1)
+        new_p, new_state = adam_step(p, zeros_like(p), state, lr=0.1)
         assert params_equal(p, new_p)
         assert new_state.step == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
         p = init_params(0, SMALL_DIMS)
-        grads = zeros_like_params(p)
+        grads = zeros_like(p)
         grads.encoder[0].weight[0, 0] = 3.7  # arbitrary nonzero gradient
         new_p, _ = adam_step(p, grads, AdamState.zeros(p), lr=0.01)
         delta = new_p.encoder[0].weight[0, 0] - p.encoder[0].weight[0, 0]
@@ -197,7 +202,7 @@ class TestAdam:
         state = AdamState.zeros(p)
         trajectory = [1.0]
         for _ in range(200):
-            grads = zeros_like_params(p)
+            grads = zeros_like(p)
             grads.encoder[0].weight[0, 0] = 2.0 * p.encoder[0].weight[0, 0]
             p, state = adam_step(p, grads, state, lr=0.1)
             trajectory.append(float(p.encoder[0].weight[0, 0]))
@@ -207,7 +212,7 @@ class TestAdam:
 
     def test_other_coordinates_unchanged_by_sparse_gradient(self):
         p = init_params(0, SMALL_DIMS)
-        grads = zeros_like_params(p)
+        grads = zeros_like(p)
         grads.encoder[0].weight[0, 0] = 1.0
         new_p, _ = adam_step(p, grads, AdamState.zeros(p), lr=0.05)
         assert new_p.encoder[0].weight[0, 1] == p.encoder[0].weight[0, 1]
@@ -215,7 +220,7 @@ class TestAdam:
 
     def test_non_finite_gradients_name_the_block(self):
         p = init_params(0, SMALL_DIMS)
-        grads = zeros_like_params(p)
+        grads = zeros_like(p)
         grads.instance_head[0].bias[0] = np.nan
         with pytest.raises(NonFiniteError, match="instance_head.0.bias"):
             adam_step(p, grads, AdamState.zeros(p), lr=0.1)
@@ -235,7 +240,7 @@ class TestGradCheck:
         p = init_params(0, SMALL_DIMS)
 
         def fn(params):
-            return 1.0, zeros_like_params(params)
+            return 1.0, zeros_like(params)
 
         assert grad_check(p, fn, eps=1e-5) == 0.0
 
@@ -274,6 +279,33 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.json"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_format_v1_file_loads_and_resaves_byte_identical(self, tmp_path):
+        # a checked-in format-v1 file from the per-layer parameter layout:
+        # init_params(13) plus three Adam steps, so every bias is nonzero
+        p = init_params(13, SMALL_DIMS)
+        state = AdamState.zeros(p)
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            grads = replace(p, flat=rng.standard_normal(p.flat.size))
+            p, state = adam_step(p, grads, state, lr=0.01)
+        loaded = load_checkpoint(CHECKPOINT_V1)
+        assert loaded.dims == SMALL_DIMS
+        for (name, got), (_, want) in zip(loaded.named_arrays(), p.named_arrays()):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert np.shares_memory(got, loaded.flat), name
+        assert all(layer.bias.any() for layer in loaded.encoder)
+        path = tmp_path / "model.json"
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == CHECKPOINT_V1.read_bytes()
+
+    def test_flat_vector_is_blocks_in_checkpoint_order(self):
+        p = init_params(0, SMALL_DIMS)
+        blocks = [arr.ravel() for _, arr in p.named_arrays()]
+        np.testing.assert_array_equal(np.concatenate(blocks), p.flat)
+        assert p.flat.size == p.num_parameters() == SMALL_DIMS.num_parameters()
+        with pytest.raises(ShapeError, match="flat"):
+            replace(p, flat=p.flat[:-1])
 
     def test_rejects_unknown_version(self, tmp_path):
         p = init_params(0, SMALL_DIMS)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from crossclust.errors import ContractViolationError, DegenerateRowError, ShapeError
 from crossclust.numerics import (
     entropy,
-    log_sum_exp,
     row_l2_normalize,
+    row_log_sum_exp,
     row_softmax,
     similarity_matrix,
 )
@@ -73,20 +73,28 @@ class TestSimilarityMatrix:
             similarity_matrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
 
+def lse_row(values, include=None):
+    """row_log_sum_exp on a single row, all entries included unless a mask is given."""
+    row = np.array([values], dtype=np.float64)
+    mask = np.ones(row.shape, dtype=bool) if include is None else np.array([include])
+    (out,) = row_log_sum_exp(row, mask)
+    return out
+
+
 class TestLogSumExp:
     def test_two_zeros(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)
+        assert lse_row([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_no_overflow_for_large_inputs(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2), abs=1e-12)
+        assert lse_row([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2), abs=1e-12)
 
     def test_single_element_exact(self):
         for a in (-123.456, 0.0, 7.25, 1e80):
-            assert log_sum_exp([a]) == a
+            assert lse_row([a, 5.0], include=[True, False]) == a
 
     def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            log_sum_exp([])
+        with pytest.raises(ShapeError, match="row 0 selects no entries"):
+            lse_row([1.0, 2.0], include=[False, False])
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=20),
@@ -95,7 +103,7 @@ class TestLogSumExp:
     @settings(max_examples=200, deadline=None)
     def test_shift_invariance(self, values, c):
         v = np.array(values)
-        assert log_sum_exp(v + c) == pytest.approx(log_sum_exp(v) + c, abs=1e-10)
+        assert lse_row(v + c) == pytest.approx(lse_row(v) + c, abs=1e-10)
 
 
 class TestEntropy:

@@ -3,7 +3,7 @@ import pytest
 
 from crossclust.config import DimsSpec, TrainConfig
 from crossclust.data import generate_blobs
-from crossclust.errors import ConfigError
+from crossclust.errors import ConfigError, NonFiniteError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
 from crossclust.model import backward, forward, grad_check, init_params
@@ -106,6 +106,27 @@ class TestTrainC3:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+class TestNonFiniteAbort:
+    @pytest.mark.parametrize(
+        "loss_name, stage, epoch", [("init_instance_loss", "init", 1), ("c3_loss", "c3", 0)]
+    )
+    def test_non_finite_loss_names_stage_epoch_batch(
+        self, small_data, monkeypatch, loss_name, stage, epoch
+    ):
+        import crossclust.trainer as trainer
+
+        real = getattr(trainer, loss_name)
+
+        def poisoned(*args):
+            _, grad = real(*args)
+            return float("nan"), grad
+
+        monkeypatch.setattr(trainer, loss_name, poisoned)
+        cfg = SMALL_CFG.override(init_epochs=1 if stage == "init" else 0)
+        with pytest.raises(NonFiniteError, match=rf"stage '{stage}' at epoch {epoch}, batch 0"):
+            train(cfg, small_data)
+
+
 class TestWeightFreezing:
     def test_implemented_gradient_treats_weights_as_constants(self, small_data):
         """The per-step objective freezes mask and weights; its finite
@@ -203,7 +224,7 @@ class TestPredictEvaluate:
         """A hand-built network that routes each axis-aligned blob to its own
         cluster must score ACC 1.0."""
         from crossclust.data import Dataset
-        from crossclust.model import ModelDims, init_params, map_params
+        from crossclust.model import ModelDims, init_params
 
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, size=30)
@@ -211,7 +232,8 @@ class TestPredictEvaluate:
         data = Dataset(X=x, truth=Partition(labels, 3))
 
         dims = ModelDims(input_dim=3, encoder_hidden=(3, 3), z_dim=2, num_clusters=3)
-        params = map_params(np.zeros_like, init_params(0, dims))
+        params = init_params(0, dims)
+        params.flat[:] = 0.0
         for layer in params.encoder:
             layer.weight[:] = np.eye(3)
         params.cluster_head[0].weight[:] = 10.0 * np.eye(3)
