@@ -23,7 +23,13 @@ class AugmentConfig:
     scale_range: tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        object.__setattr__(self, "scale_range", tuple(float(v) for v in self.scale_range))
+        try:
+            lo, hi = (float(v) for v in self.scale_range)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "augment.scale_range", f"expected two numbers (lo, hi), got {self.scale_range!r}"
+            ) from None
+        object.__setattr__(self, "scale_range", (lo, hi))
         if self.gaussian_noise_sigma < 0:
             raise ConfigError(
                 "augment.gaussian_noise_sigma",
@@ -31,9 +37,6 @@ class AugmentConfig:
             )
         if not 0.0 <= self.mask_rate < 1.0:
             raise ConfigError("augment.mask_rate", f"must lie in [0, 1), got {self.mask_rate}")
-        if len(self.scale_range) != 2:
-            raise ConfigError("augment.scale_range", "expected (lo, hi)")
-        lo, hi = self.scale_range
         if not 0.0 < lo <= hi:
             raise ConfigError("augment.scale_range", f"need 0 < lo <= hi, got ({lo}, {hi})")
 

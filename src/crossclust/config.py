@@ -16,6 +16,11 @@ from .augment import AugmentConfig
 from .errors import ConfigError
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DimsSpec:
     """Model shape: encoder hidden widths and embedding dimension.
@@ -29,7 +34,14 @@ class DimsSpec:
     z_dim: int = 32
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ConfigError("dims.hidden", f"must be a list of integers, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        for width in self.hidden:
+            _require_int("dims.hidden", width)
+        if self.input_dim is not None:
+            _require_int("dims.input_dim", self.input_dim)
+        _require_int("dims.z_dim", self.z_dim)
 
 
 @dataclass(frozen=True)
@@ -97,13 +109,8 @@ def _build_section(cls, raw: dict, section: str):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{section}.{sorted(unknown)[0]}", "unknown field")
-    kwargs = dict(raw)
-    if cls is DimsSpec and "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
-    if cls is AugmentConfig and "scale_range" in kwargs:
-        kwargs["scale_range"] = tuple(kwargs["scale_range"])
     try:
-        return cls(**kwargs)
+        return cls(**raw)
     except TypeError as exc:
         raise ConfigError(section, str(exc)) from None
 
@@ -124,9 +131,7 @@ def config_from_dict(raw: dict) -> TrainConfig:
     kwargs = dict(raw)
     for name in _INT_FIELDS:
         if name in kwargs:
-            value = kwargs[name]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(name, f"must be an integer, got {value!r}")
+            _require_int(name, kwargs[name])
     for name in _FLOAT_FIELDS:
         if name in kwargs:
             try:

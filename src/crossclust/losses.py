@@ -10,7 +10,9 @@ threshold ``zeta`` as positive, and divides by a weighted sum over all
 non-self pairs.  The weights concentrate on pairs that are neither close
 together nor far apart (the ones likely to sit near cluster boundaries) and
 come from a closed-form entropy-regularized optimization over the simplex;
-they are constants with respect to network gradients.
+they are constants with respect to network gradients.  Its sums run on
+``exp(s)`` unshifted, as cosines are bounded.  The initialization-stage
+cluster term is the instance loss on the cosines of the 2M assignment columns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, DegenerateRowError, ShapeError
-from .numerics import Matrix, row_log_sum_exp
+from .numerics import Matrix, row_log_sum_exp, row_softmax
 
 __all__ = [
     "twin_indices",
@@ -40,8 +42,8 @@ def twin_indices(n2: int) -> np.ndarray:
     return (np.arange(n2) + half) % n2
 
 
-def _check_square(s, name="similarity matrix") -> Matrix:
-    s = np.asarray(s, dtype=np.float64)
+def _check_square(s, name="similarity matrix", dtype=np.float64) -> Matrix:
+    s = np.asarray(s, dtype=dtype)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"{name} must be square, got {s.shape}")
     return s
@@ -72,15 +74,13 @@ def compute_weights(s: Matrix, gamma: float) -> Matrix:
     s = _check_square(s)
     logits = gamma * (1.0 - np.abs(s))
     np.fill_diagonal(logits, -np.inf)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return row_softmax(logits)
 
 
 def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix]:
     """Weighted cross-instance contrastive loss and its gradient w.r.t. s.
 
-    Per anchor row i:
+    Per anchor row i of the cosines ``s`` (|s| <= 1, so exp needs no max shift):
         loss_i = -log( sum_{j in mask_i} exp(s_ij) / sum_{j != i} w_ij exp(s_ij) )
     and the total is the mean over all 2N anchors.  ``weights`` is held
     constant: the returned gradient is exact for frozen weights (and the
@@ -94,26 +94,26 @@ def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix
         raise ShapeError("mask and weights must match the similarity matrix shape")
     if (weights < 0).any():
         raise ContractViolationError("weights must be nonnegative")
-    row_pos = mask.sum(axis=1)
-    if (row_pos == 0).any():
+    p_num = np.exp(s)
+    p_den = weights * p_num
+    np.fill_diagonal(p_den, 0.0)
+    p_num *= mask
+    num = p_num.sum(axis=1)
+    den = p_den.sum(axis=1)
+    if (num == 0).any():
         raise ContractViolationError(
-            f"positive-mask row {int(np.argmin(row_pos))} is empty; "
+            f"positive-mask row {int(np.argmin(num))} is empty; "
             "twin inclusion should make this unreachable"
         )
-    off_diag = ~np.eye(n2, dtype=bool)
-    include_den = off_diag & (weights > 0)
+    if (den == 0).any():
+        raise ContractViolationError(
+            f"weight row {int(np.argmin(den))} has no positive off-self entry"
+        )
+    loss = float((np.log(den) - np.log(num)).mean())
 
-    log_num = row_log_sum_exp(s, mask)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    log_den = row_log_sum_exp(s + np.where(include_den, log_w, 0.0), include_den)
-    per_anchor = log_den - log_num
-    loss = float(per_anchor.mean())
-
-    p_num = np.where(mask, np.exp(s - log_num[:, None]), 0.0)
-    p_den = np.where(include_den, np.exp(s + np.where(include_den, log_w, 0.0) - log_den[:, None]), 0.0)
-    d_s = (p_den - p_num) / n2
-    return loss, d_s
+    p_den /= n2 * den[:, None]
+    p_den -= p_num / (n2 * num[:, None])
+    return loss, p_den
 
 
 def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:
@@ -183,18 +183,8 @@ def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Ma
         raise DegenerateRowError(int(zero[0]), f"cluster column {int(zero[0])} is all-zero")
     unit = cols / norms[:, None]
 
-    m2 = 2 * m
-    twins = twin_indices(m2)
-    logits = (unit @ unit.T) / tau_c
-    off_diag = ~np.eye(m2, dtype=bool)
-    log_den = row_log_sum_exp(logits, off_diag)
-    anchors = np.arange(m2)
-    contrastive = float((log_den - logits[anchors, twins]).mean())
-
-    p = np.where(off_diag, np.exp(logits - log_den[:, None]), 0.0)
-    p[anchors, twins] -= 1.0
-    d_logits = p / (m2 * tau_c)
-    d_unit = (d_logits + d_logits.T) @ unit
+    contrastive, d_s = init_instance_loss(unit @ unit.T, tau_c)
+    d_unit = chain_to_embeddings(d_s, unit)
     # cosine normalization Jacobian, rowwise over the stacked columns
     udot = (d_unit * unit).sum(axis=1, keepdims=True)
     d_cols = (d_unit - udot * unit) / norms[:, None]
@@ -217,5 +207,5 @@ def count_positive_pairs(mask: np.ndarray) -> float:
     mask = np.asarray(mask)
     if mask.dtype != bool:
         raise ShapeError("mask must be boolean")
-    _check_square(mask.astype(np.float64), "positive mask")
+    _check_square(mask, "positive mask", bool)
     return float(mask.sum(axis=1).mean())

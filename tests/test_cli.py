@@ -114,11 +114,38 @@ class TestTrain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["zeta"] == 0.9  # flag wins over file
 
-    def test_bad_config_exits_nonzero(self, tmp_path, blobs_csv):
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ("zeta: 2.0\n", "zeta"),
+            ("dims: {hidden: 5}\n", "dims.hidden"),
+            ("augment: {scale_range: 1.0}\n", "augment.scale_range"),
+            ("dims: {hidden: [x]}\n", "dims.hidden"),
+            ("augment: {scale_range: [a, 1]}\n", "augment.scale_range"),
+            ("dims: {z_dim: abc}\n", "dims.z_dim"),
+            ("dims: {input_dim: abc}\n", "dims.input_dim"),
+            ("dims: {z_dim: 2.5}\n", "dims.z_dim"),
+        ],
+        ids=[
+            "zeta_range",
+            "hidden_scalar",
+            "scale_range_scalar",
+            "hidden_word",
+            "scale_range_word",
+            "z_dim_word",
+            "input_dim_word",
+            "z_dim_fraction",
+        ],
+    )
+    def test_bad_config_exits_nonzero(self, tmp_path, blobs_csv, capsys, body, field):
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text("zeta: 2.0\n")
+        cfg.write_text(body)
         code = main(["train", "--config", str(cfg), "--data", str(blobs_csv), "--out", str(tmp_path / "o")])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config field '{field}'" in err
+        assert "Traceback" not in err
 
     def test_missing_data_exits_nonzero(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])

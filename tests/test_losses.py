@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossclust.errors import ConfigError, ContractViolationError, DegenerateRowError
+from crossclust.errors import ConfigError, ContractViolationError, DegenerateRowError, ShapeError
 from crossclust.losses import (
     c3_loss,
     chain_to_embeddings,
@@ -230,6 +230,15 @@ class TestC3Loss:
         with pytest.raises(ContractViolationError, match="row 0"):
             c3_loss(s, mask, w)
 
+    def test_weight_row_without_off_self_mass_rejected(self):
+        rng = np.random.default_rng(20)
+        s = similarity_matrix(random_embeddings(rng, 3, 4))
+        w = compute_weights(s, 0.1)
+        w[2] = 0.0
+        w[2, 2] = 1.0  # self weight never enters the denominator
+        with pytest.raises(ContractViolationError, match="weight row 2"):
+            c3_loss(s, positive_mask(s, 0.5), w)
+
 
 class TestChainToEmbeddings:
     def test_zero_gradient_maps_to_zero(self):
@@ -370,6 +379,13 @@ class TestCountPositivePairs:
         expected = sum(n * (n - 1) for n in counts.values()) / 256
         assert expected == pytest.approx(1.28, abs=0.01)
         assert count_positive_pairs(mask) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "mask", [np.ones((4, 3), dtype=bool), np.ones((4, 4))], ids=["non_square", "non_boolean"]
+    )
+    def test_malformed_mask_rejected(self, mask):
+        with pytest.raises(ShapeError):
+            count_positive_pairs(mask)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
