@@ -30,6 +30,12 @@ class AugmentConfig:
                 "augment.scale_range", f"expected two numbers (lo, hi), got {self.scale_range!r}"
             ) from None
         object.__setattr__(self, "scale_range", (lo, hi))
+        for name in ("gaussian_noise_sigma", "mask_rate"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"augment.{name}", f"must be a number, got {value!r}") from None
         if self.gaussian_noise_sigma < 0:
             raise ConfigError(
                 "augment.gaussian_noise_sigma",

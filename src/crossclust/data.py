@@ -8,6 +8,8 @@ floats are written with shortest round-trip decimal formatting.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -141,9 +143,14 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a headered numeric CSV; map the label column (if named) to a 0-based partition.
 
-    Feature cells must be finite numbers; a non-numeric, ``nan`` or ``inf``
-    cell raises :class:`CsvFormatError` with its 1-based row and column.  A
-    file that is not UTF-8 raises :class:`CsvFormatError` naming the path.
+    A feature cell is one number: an optional sign, then decimal or exponent
+    form (``-1.5``, ``2e-3``), optionally surrounded by whitespace and double
+    quotes.  ``_`` digit separators and non-ASCII digits are not numbers; a
+    cell that is not a number, or is ``nan`` or ``inf``, raises
+    :class:`CsvFormatError` with its 1-based row and column (the header is
+    row 1).  A row with the wrong cell count raises with its row.  Blank
+    lines are skipped but still counted in row numbers.  A file that is not
+    UTF-8 raises :class:`CsvFormatError` naming the path.
 
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
@@ -152,9 +159,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise CsvFormatError(f"{path} is empty") from None
             label_idx = None
@@ -162,40 +168,63 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 if label_column not in header:
                     raise CsvFormatError(f"label column '{label_column}' not in header {header}")
                 label_idx = header.index(label_column)
-            feature_idx = [j for j in range(len(header)) if j != label_idx]
-            rows: list[list[float]] = []
-            raw_labels: list[str] = []
-            for line_no, record in enumerate(reader, start=2):
-                if len(record) != len(header):
-                    raise CsvFormatError(
-                        f"expected {len(header)} cells, found {len(record)}", row=line_no
+            dtype = np.dtype(
+                [(f"c{j}", object if j == label_idx else np.float64) for j in range(len(header))]
+            )
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
+                    table = np.loadtxt(
+                        fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
                     )
-                values = []
-                for j in feature_idx:
-                    try:
-                        values.append(float(record[j]))
-                    except ValueError:
-                        raise CsvFormatError(
-                            f"non-numeric cell {record[j]!r}", row=line_no, col=j + 1
-                        ) from None
-                rows.append(values)
-                if label_idx is not None:
-                    raw_labels.append(record[label_idx])
+            except ValueError:
+                # A ragged row or a bad cell; a decode error re-raises from the re-read.
+                raise _first_fault(path, len(header), label_idx) from None
+        if table.size == 0:
+            raise CsvFormatError(f"{path} has a header but no data rows")
+        feature_idx = [j for j in range(len(header)) if j != label_idx]
+        x = np.empty((table.size, len(feature_idx)))
+        for k, j in enumerate(feature_idx):
+            x[:, k] = table[f"c{j}"]
+        if not np.isfinite(x).all():
+            raise _first_fault(path, len(header), label_idx)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    if not rows:
-        raise CsvFormatError(f"{path} has a header but no data rows")
-    x = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(x)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise CsvFormatError(
-            f"non-finite cell {x[r, c]!r}", row=int(r) + 2, col=feature_idx[c] + 1
-        )
     truth = None
     if label_idx is not None:
         seen: dict[str, int] = {}
-        ids = [seen.setdefault(tok, len(seen)) for tok in raw_labels]
+        ids = [seen.setdefault(tok, len(seen)) for tok in table[f"c{label_idx}"]]
         truth = Partition(np.asarray(ids, dtype=np.int64), len(seen))
     names = tuple(header[j] for j in feature_idx)
     return Dataset(X=x, truth=truth, feature_names=names)
+
+
+def _first_fault(path: Path, width: int, label_idx: int | None) -> CsvFormatError:
+    """Re-read a rejected CSV row by row and position its first fault.
+
+    Ragged rows and cells that are not numbers are reported where they first
+    occur; a non-finite cell only when the file has neither.  Cells follow
+    the grammar of ``np.loadtxt``: stripped, ASCII, no ``_``, then ``float``.
+    """
+    non_finite = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != width:
+                return CsvFormatError(f"expected {width} cells, found {len(record)}", row=line_no)
+            for j, cell in enumerate(record):
+                if j == label_idx:
+                    continue
+                text = cell.strip()
+                try:
+                    if not text.isascii() or "_" in text:
+                        raise ValueError(text)
+                    value = float(text)
+                except ValueError:
+                    return CsvFormatError(f"non-numeric cell {cell!r}", row=line_no, col=j + 1)
+                if non_finite is None and not math.isfinite(value):
+                    non_finite = CsvFormatError(f"non-finite cell {cell!r}", row=line_no, col=j + 1)
+    return non_finite or CsvFormatError(f"{path} could not be parsed as CSV")

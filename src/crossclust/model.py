@@ -146,13 +146,18 @@ def _chain_forward(layers, x, relu_last: bool):
     return pres, a
 
 
-def forward(params: ModelParams, x) -> ForwardCache:
-    """h = f(x); z = normalize(instance_head(h)); c = softmax(cluster_head(h))."""
+def _input_matrix(params: ModelParams, x) -> Matrix:
     x = as_matrix(x, "x")
     if x.shape[1] != params.dims.input_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, model expects {params.dims.input_dim}"
         )
+    return x
+
+
+def forward(params: ModelParams, x) -> ForwardCache:
+    """h = f(x); z = normalize(instance_head(h)); c = softmax(cluster_head(h))."""
+    x = _input_matrix(params, x)
     encoder_pre, h = _chain_forward(params.encoder, x, relu_last=True)
     instance_pre, y_z = _chain_forward(params.instance_head, h, relu_last=False)
     cluster_pre, y_c = _chain_forward(params.cluster_head, h, relu_last=False)
@@ -167,6 +172,23 @@ def forward(params: ModelParams, x) -> ForwardCache:
         cluster_pre=cluster_pre,
         c=row_softmax(y_c),
     )
+
+
+def cluster_probabilities(params: ModelParams, x) -> Matrix:
+    """c = softmax(cluster_head(f(x))) alone: the instance head is never evaluated.
+
+    Equals ``forward(params, x).c`` bit for bit, and takes rows whose instance
+    embedding is zero (which ``forward`` cannot normalize).  Nothing is kept
+    for backward, so only two activations are alive at a time.
+    """
+    a = _input_matrix(params, x)
+    layers = [*params.encoder, *params.cluster_head]
+    for k, layer in enumerate(layers):
+        a = a @ layer.weight
+        a += layer.bias
+        if k < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+    return row_softmax(a)
 
 
 def _chain_backward(layers, grads, pres, x, d_out, relu_last: bool = False):

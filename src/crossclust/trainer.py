@@ -40,6 +40,7 @@ from .model import (
     ModelParams,
     adam_step,
     backward,
+    cluster_probabilities,
     forward,
     init_params,
 )
@@ -144,8 +145,7 @@ def _abort_diagnostic(stage, epoch, batch, parts):
 
 def predict(params: ModelParams, x) -> Partition:
     """Hard cluster labels: argmax of the assignment probabilities, ties to the lowest index."""
-    cache = forward(params, x)
-    labels = np.argmax(cache.c, axis=1)
+    labels = np.argmax(cluster_probabilities(params, x), axis=1)
     return Partition(labels, params.dims.num_clusters)
 
 

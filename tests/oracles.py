@@ -7,10 +7,13 @@ checks.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
+
+from crossclust.errors import CsvFormatError
 
 
 def dot(a, b):
@@ -192,3 +195,42 @@ def augment_batch_rowwise(cfg, x, base_key, row_keys=None):
         x_a[r] = one_view(rng, x[r])
         x_b[r] = one_view(rng, x[r])
     return x_a, x_b
+
+
+def load_csv_rowwise(path, label_column=None):
+    """Per-cell reference CSV loader: one Python ``float()`` per feature cell.
+
+    Returns ``(x, label_ids, feature_names)``; ``label_ids`` are first-appearance
+    ids, or None without a label column.  Rejections raise ``CsvFormatError``
+    with 1-based (row, col), the header being row 1: the first ragged row or
+    non-numeric cell, else the first non-finite cell in row-major order.
+    Every record counts, so a blank line is a ragged row here.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        label_idx = header.index(label_column) if label_column is not None else None
+        feature_idx = [j for j in range(len(header)) if j != label_idx]
+        rows, labels = [], []
+        for line_no, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise CsvFormatError("ragged row", row=line_no)
+            values = []
+            for j in feature_idx:
+                try:
+                    values.append(float(record[j]))
+                except ValueError:
+                    raise CsvFormatError("non-numeric cell", row=line_no, col=j + 1) from None
+            rows.append(values)
+            if label_idx is not None:
+                labels.append(record[label_idx])
+    for r, values in enumerate(rows):
+        for c, value in enumerate(values):
+            if not math.isfinite(value):
+                raise CsvFormatError("non-finite cell", row=r + 2, col=feature_idx[c] + 1)
+    x = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(feature_idx))
+    ids = None
+    if label_idx is not None:
+        seen = {}
+        ids = np.asarray([seen.setdefault(tok, len(seen)) for tok in labels], dtype=np.int64)
+    return x, ids, tuple(header[j] for j in feature_idx)

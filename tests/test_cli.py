@@ -125,6 +125,8 @@ class TestTrain:
             ("dims: {z_dim: abc}\n", "dims.z_dim"),
             ("dims: {input_dim: abc}\n", "dims.input_dim"),
             ("dims: {z_dim: 2.5}\n", "dims.z_dim"),
+            ("augment: {gaussian_noise_sigma: abc}\n", "augment.gaussian_noise_sigma"),
+            ("augment: {mask_rate: abc}\n", "augment.mask_rate"),
         ],
         ids=[
             "zeta_range",
@@ -135,6 +137,8 @@ class TestTrain:
             "z_dim_word",
             "input_dim_word",
             "z_dim_fraction",
+            "noise_sigma_word",
+            "mask_rate_word",
         ],
     )
     def test_bad_config_exits_nonzero(self, tmp_path, blobs_csv, capsys, body, field):
@@ -186,6 +190,20 @@ class TestEval:
         assert "acc" not in out
         assert "assignment_entropy" in out
         assert "no truth labels" in captured.err
+
+    def test_row_standardized_to_zero_is_labeled(self, tmp_path, capsys):
+        # untrained params have zero biases, so a row at the column means has y_z = 0
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("a,b\n0.0,1.0\n1.0,0.0\n2.0,3.0\n3.0,2.0\n")
+        out = tmp_path / "run"
+        flags = ["--init-epochs", "0", "--c3-epochs", "0", "--batch-size", "2", "--clusters", "2"]
+        assert main(["train", "--data", str(train_csv), "--out", str(out), *flags]) == 0
+        eval_csv = tmp_path / "eval.csv"
+        eval_csv.write_text("a,b\n0.0,0.0\n1.0,-1.0\n-1.0,1.0\n")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(eval_csv)])
+        assert code == 0, capsys.readouterr().err
+        assert sum(json.loads(capsys.readouterr().out)["cluster_sizes"]) == 3
 
     def test_missing_checkpoint_exits_nonzero(self, blobs_csv, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"), "--data", str(blobs_csv)])

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crossclust.cli import main
 from crossclust.config import DimsSpec, TrainConfig, config_from_dict, load_config
 from crossclust.data import Dataset, generate_blobs, load_csv, save_csv, standardize
 from crossclust.errors import ConfigError, CsvFormatError
 from crossclust.metrics import Partition, accuracy
+from oracles import load_csv_rowwise
 
 
 class TestGenerateBlobs:
@@ -146,6 +151,123 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(CsvFormatError):
             load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "1.0\u0661"])
+    def test_cells_float_accepts_but_loader_rejects_are_positioned(self, tmp_path, cell):
+        # Python's float() reads "1_0" as 10.0 and Arabic-Indic digits as 12.0
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="non-numeric") as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["a,b\n1.0,nan\ninf,oops\n", "a,b\n1.0,NaN\n-inf,2.0\n", "a,b\nnan,1.0\n3.0\n"],
+        ids=["non_numeric_after_nan", "row_major_non_finite", "ragged_after_nan"],
+    )
+    def test_fault_order_matches_rowwise_oracle(self, tmp_path, body):
+        path = tmp_path / "faults.csv"
+        path.write_text(body)
+        with pytest.raises(CsvFormatError) as want:
+            load_csv_rowwise(path)
+        with pytest.raises(CsvFormatError) as got:
+            load_csv(path)
+        assert (got.value.row, got.value.col) == (want.value.row, want.value.col)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\r\n\r\n")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("a,b\n1.0,2.0\n\n3.0,nan\n")
+        with pytest.raises(CsvFormatError, match="non-finite") as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (4, 2)
+
+    def test_only_blank_lines_after_header_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        for body in ("a,b\n", "a,b\n\n\r\n"):
+            path.write_text(body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CsvFormatError, match="no data rows"):
+                    load_csv(path)
+
+    def test_quoted_and_padded_cells(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('a,kind,b\n" 1.5 ","x,y", -2e-3\n+3,"say ""hi""",4.\n')
+        ds = load_csv(path, label_column="kind")
+        np.testing.assert_array_equal(ds.X, [[1.5, -2e-3], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.truth.labels, [0, 1])
+
+
+_FAULTS = ("ragged", "oops", "nan", "-Infinity")
+
+
+@st.composite
+def csv_tables(draw):
+    """A small CSV table as text, its label column (or None) and at most one injected fault."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    label_pos = draw(st.one_of(st.none(), st.integers(0, d)))
+    width = d + (label_pos is not None)
+    finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 included
+    values = draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = draw(st.lists(st.text(alphabet='ab ,"', min_size=1, max_size=3), min_size=n, max_size=n))
+    quote = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
+    fault_row = draw(st.integers(0, n - 1))
+    fault_col = draw(st.integers(0, d - 1))
+    drop_cell = draw(st.booleans()) and width > 1
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = [f"f{j}" for j in range(d)]
+    if label_pos is not None:
+        header.insert(label_pos, "label")
+    lines = [",".join(header)]
+    for r in range(n):
+        cells = [repr(v) for v in values[r]]
+        if fault in ("oops", "nan", "-Infinity") and r == fault_row:
+            cells[fault_col] = fault
+        if label_pos is not None:
+            label = labels[r]
+            if quote[r] or "," in label or '"' in label:
+                label = '"' + label.replace('"', '""') + '"'
+            cells.insert(label_pos, label)
+        if fault == "ragged" and r == fault_row:
+            cells = cells[:-1] if drop_cell else cells + ["0.5"]
+        lines.append(",".join(cells))
+    trailing = draw(st.booleans())
+    text = newline.join(lines) + (newline if trailing else "")
+    return text, ("label" if label_pos is not None else None)
+
+
+class TestLoadCsvMatchesRowwiseOracle:
+    @given(csv_tables())
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_same_matrix_labels_or_error_position(self, tmp_path, table):
+        text, label_column = table
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = load_csv_rowwise(path, label_column)
+        except CsvFormatError as expected:
+            with pytest.raises(CsvFormatError) as exc:
+                load_csv(path, label_column)
+            assert (exc.value.row, exc.value.col) == (expected.row, expected.col)
+            return
+        x, ids, names = want
+        got = load_csv(path, label_column)
+        assert got.X.tobytes() == x.tobytes() and got.X.shape == x.shape
+        assert got.X.flags.c_contiguous
+        assert got.feature_names == names
+        if ids is None:
+            assert got.truth is None
+        else:
+            np.testing.assert_array_equal(got.truth.labels, ids)
+            assert got.truth.num_clusters == int(ids.max()) + 1
 
 
 class TestTrainConfig:

@@ -6,7 +6,7 @@ from crossclust.data import generate_blobs
 from crossclust.errors import ConfigError, NonFiniteError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
-from crossclust.model import backward, forward, grad_check, init_params
+from crossclust.model import ModelDims, backward, forward, grad_check, init_params
 from crossclust.numerics import similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
@@ -193,6 +193,15 @@ class TestPredictEvaluate:
         labels = predict(params, small_data.X)
         cache = forward(params, small_data.X)
         np.testing.assert_array_equal(labels.labels, np.argmax(cache.c, axis=1))
+
+    def test_zero_instance_embedding_row_still_predicted(self, small_data):
+        # zero biases map a zero input row to y_z = 0, which forward cannot normalize
+        params = init_params(0, ModelDims(input_dim=small_data.d, num_clusters=3))
+        x = small_data.X.copy()
+        x[0] = 0.0
+        labels = predict(params, x).labels
+        assert labels[0] == 0  # all-zero cluster logits tie; argmax picks the lowest index
+        np.testing.assert_array_equal(labels[1:], np.argmax(forward(params, x[1:]).c, axis=1))
 
     def test_tie_breaks_to_lowest_index(self):
         # argmax over an exactly tied row must pick the first index
