@@ -8,7 +8,7 @@ floats are written with shortest round-trip decimal formatting.
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -150,7 +150,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     :class:`CsvFormatError` with its 1-based row and column (the header is
     row 1).  A row with the wrong cell count raises with its row.  Blank
     lines are skipped but still counted in row numbers.  A file that is not
-    UTF-8 raises :class:`CsvFormatError` naming the path.
+    UTF-8, or a header cell longer than ``csv.field_size_limit()``, raises
+    :class:`CsvFormatError` naming the path, as does a longer data cell
+    where a fault report needs to re-read its row.
 
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
@@ -163,6 +165,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise CsvFormatError(f"{path} is empty") from None
+            except csv.Error as exc:
+                raise CsvFormatError(f"{path}: {exc}", row=1) from None
             label_idx = None
             if label_column is not None:
                 if label_column not in header:
@@ -186,8 +190,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         x = np.empty((table.size, len(feature_idx)))
         for k, j in enumerate(feature_idx):
             x[:, k] = table[f"c{j}"]
-        if not np.isfinite(x).all():
-            raise _first_fault(path, len(header), label_idx)
+        finite = np.isfinite(x)
+        if not finite.all():
+            record, k = divmod(int(np.argmin(finite)), x.shape[1])
+            raise _non_finite_fault(path, record, feature_idx[k])
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
     truth = None
@@ -199,32 +205,53 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     return Dataset(X=x, truth=truth, feature_names=names)
 
 
-def _first_fault(path: Path, width: int, label_idx: int | None) -> CsvFormatError:
-    """Re-read a rejected CSV row by row and position its first fault.
+def _records(path: Path):
+    """Yield ``(row, cells)`` for every record after the header (the header is row 1).
 
-    Ragged rows and cells that are not numbers are reported where they first
-    occur; a non-finite cell only when the file has neither.  Cells follow
-    the grammar of ``np.loadtxt``: stripped, ASCII, no ``_``, then ``float``.
+    Blank lines yield empty records, so rows count them.  A cell longer than
+    ``csv.field_size_limit()`` raises :class:`CsvFormatError` with its row.
     """
-    non_finite = None
+    row = 1
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
+        try:
+            next(reader, None)
+            for row, record in enumerate(reader, start=2):
+                yield row, record
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: {exc}", row=row + 1) from None
+
+
+def _non_finite_fault(path: Path, record: int, col: int) -> CsvFormatError:
+    """Position a non-finite cell: column ``col`` (0-based, in file order) of
+    the ``record``-th data row ``np.loadtxt`` returned (0-based, blank lines
+    not counted).  Only the records up to it are re-read; no cell is parsed.
+    """
+    data_rows = ((row, cells) for row, cells in _records(path) if cells)
+    row, cells = next(itertools.islice(data_rows, record, None))
+    return CsvFormatError(f"non-finite cell {cells[col]!r}", row=row, col=col + 1)
+
+
+def _first_fault(path: Path, width: int, label_idx: int | None) -> CsvFormatError:
+    """Re-read a CSV that ``np.loadtxt`` rejected, row by row, and position its first fault.
+
+    Ragged rows and cells that are not numbers are reported where they first
+    occur.  Cells follow the grammar of ``np.loadtxt``: stripped, ASCII, no
+    ``_``, then ``float``.
+    """
+    for line_no, record in _records(path):
+        if not record:
+            continue
+        if len(record) != width:
+            return CsvFormatError(f"expected {width} cells, found {len(record)}", row=line_no)
+        for j, cell in enumerate(record):
+            if j == label_idx:
                 continue
-            if len(record) != width:
-                return CsvFormatError(f"expected {width} cells, found {len(record)}", row=line_no)
-            for j, cell in enumerate(record):
-                if j == label_idx:
-                    continue
-                text = cell.strip()
-                try:
-                    if not text.isascii() or "_" in text:
-                        raise ValueError(text)
-                    value = float(text)
-                except ValueError:
-                    return CsvFormatError(f"non-numeric cell {cell!r}", row=line_no, col=j + 1)
-                if non_finite is None and not math.isfinite(value):
-                    non_finite = CsvFormatError(f"non-finite cell {cell!r}", row=line_no, col=j + 1)
-    return non_finite or CsvFormatError(f"{path} could not be parsed as CSV")
+            text = cell.strip()
+            try:
+                if not text.isascii() or "_" in text:
+                    raise ValueError(text)
+                float(text)
+            except ValueError:
+                return CsvFormatError(f"non-numeric cell {cell!r}", row=line_no, col=j + 1)
+    return CsvFormatError(f"{path} could not be parsed as CSV")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, DegenerateRowError, ShapeError
-from .numerics import Matrix, row_log_sum_exp, row_softmax
+from .numerics import Matrix, row_softmax
 
 __all__ = [
     "twin_indices",
@@ -33,6 +33,12 @@ __all__ = [
     "count_positive_pairs",
 ]
 
+# compute_weights, c3_loss and init_instance_loss walk the 2N x 2N matrix in
+# row blocks of about this many entries (512 KiB of float64), so each
+# elementwise pass finds its block still in cache.  Every step is row-local,
+# so the results are the same bits for any block size.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def twin_indices(n2: int) -> np.ndarray:
     """Index of the other view of each stacked row: i <-> (i + N) mod 2N."""
@@ -40,6 +46,15 @@ def twin_indices(n2: int) -> np.ndarray:
         raise ShapeError(f"stacked batch size must be even and >= 2, got {n2}")
     half = n2 // 2
     return (np.arange(n2) + half) % n2
+
+
+def _row_blocks(n2: int):
+    """Yield ``(rows, diag)`` over consecutive row blocks of a 2N x 2N matrix:
+    the row slice and the (block row, column) indices of its self pairs."""
+    step = max(1, _BLOCK_ENTRIES // max(n2, 1))
+    for r0 in range(0, n2, step):
+        r1 = min(r0 + step, n2)
+        yield slice(r0, r1), (np.arange(r1 - r0), np.arange(r0, r1))
 
 
 def _check_square(s, name="similarity matrix", dtype=np.float64) -> Matrix:
@@ -72,9 +87,14 @@ def compute_weights(s: Matrix, gamma: float) -> Matrix:
     if not gamma > 0:
         raise ConfigError("gamma", f"weight concentration must be positive, got {gamma}")
     s = _check_square(s)
-    logits = gamma * (1.0 - np.abs(s))
-    np.fill_diagonal(logits, -np.inf)
-    return row_softmax(logits)
+    weights = np.empty(s.shape)
+    for rows, diag in _row_blocks(s.shape[0]):
+        logits = np.abs(s[rows])
+        np.subtract(1.0, logits, out=logits)
+        logits *= gamma
+        logits[diag] = -np.inf
+        weights[rows] = row_softmax(logits)
+    return weights
 
 
 def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix]:
@@ -94,12 +114,20 @@ def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix
         raise ShapeError("mask and weights must match the similarity matrix shape")
     if (weights < 0).any():
         raise ContractViolationError("weights must be nonnegative")
-    p_num = np.exp(s)
-    p_den = weights * p_num
-    np.fill_diagonal(p_den, 0.0)
-    p_num *= mask
-    num = p_num.sum(axis=1)
-    den = p_den.sum(axis=1)
+    d_s = np.empty(s.shape)
+    num = np.empty(n2)
+    den = np.empty(n2)
+    for rows, diag in _row_blocks(n2):
+        p_num = np.exp(s[rows])
+        p_den = np.multiply(weights[rows], p_num, out=d_s[rows])
+        p_den[diag] = 0.0
+        p_num *= mask[rows]
+        num[rows] = p_num.sum(axis=1)
+        den[rows] = p_den.sum(axis=1)
+        if num[rows].all() and den[rows].all():  # an empty row raises below
+            p_den /= n2 * den[rows, None]
+            p_num /= n2 * num[rows, None]
+            p_den -= p_num
     if (num == 0).any():
         raise ContractViolationError(
             f"positive-mask row {int(np.argmin(num))} is empty; "
@@ -110,21 +138,23 @@ def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix
             f"weight row {int(np.argmin(den))} has no positive off-self entry"
         )
     loss = float((np.log(den) - np.log(num)).mean())
-
-    p_den /= n2 * den[:, None]
-    p_den -= p_num / (n2 * num[:, None])
-    return loss, p_den
+    return loss, d_s
 
 
 def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:
-    """Pull a gradient on s = z z^T back to the stacked embeddings: (dS + dS^T) z."""
+    """Pull a gradient on s = z z^T back to the stacked embeddings: (dS + dS^T) z.
+
+    Computed as dS z + dS^T z: BLAS reads dS^T through its transpose flag, so
+    no strided 2N x 2N sum is formed.  Entries round differently from the sum
+    form, by about 1e-17 for unit rows and c3-scale gradients.
+    """
     d_s = np.asarray(d_s, dtype=np.float64)
     z_stacked = np.asarray(z_stacked, dtype=np.float64)
     if d_s.ndim != 2 or d_s.shape[0] != d_s.shape[1] or d_s.shape[0] != z_stacked.shape[0]:
         raise ShapeError(
             f"gradient shape {d_s.shape} incompatible with embeddings {z_stacked.shape}"
         )
-    return (d_s + d_s.T) @ z_stacked
+    return d_s @ z_stacked + d_s.T @ z_stacked
 
 
 def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
@@ -139,19 +169,23 @@ def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
     s = _check_square(s)
     n2 = s.shape[0]
     twins = twin_indices(n2)
-    logits = s / tau_i
-    off_diag = ~np.eye(n2, dtype=bool)
-    log_den = row_log_sum_exp(logits, off_diag)
-    anchors = np.arange(n2)
-    per_anchor = log_den - logits[anchors, twins]
-    loss = float(per_anchor.mean())
-
-    p = logits - log_den[:, None]  # updated in place: one 2N x 2N temporary, not three
-    np.exp(p, out=p)
-    np.fill_diagonal(p, 0.0)
-    p[anchors, twins] -= 1.0
-    p /= n2 * tau_i
-    return loss, p
+    d_s = np.empty(s.shape)
+    log_den = np.empty(n2)
+    twin_logit = np.empty(n2)
+    for rows, diag in _row_blocks(n2):
+        logits = np.divide(s[rows], tau_i, out=d_s[rows])
+        logits[diag] = -np.inf  # self pairs leave the denominator
+        top = logits.max(axis=1)
+        shifted = logits - top[:, None]
+        log_den[rows] = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+        twin_logit[rows] = logits[diag[0], twins[rows]]
+        # the gradient overwrites the logits; exp(-inf) zeroes the self pairs
+        logits -= log_den[rows, None]
+        np.exp(logits, out=logits)
+        logits[diag[0], twins[rows]] -= 1.0
+        logits /= n2 * tau_i
+    loss = float((log_den - twin_logit).mean())
+    return loss, d_s
 
 
 def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Matrix, Matrix]:

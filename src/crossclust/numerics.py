@@ -1,9 +1,10 @@
 """Dense float64 primitives: row normalization, cosine similarity, stable reductions.
 
-All public functions are pure, operate on 2-D ``numpy.float64`` arrays
-("matrices") or 1-D vectors, and return freshly allocated outputs.  Batch
-sizes are desk scale (a few thousand rows at most), so everything favors
-precision and determinism over throughput.
+All public functions are pure: they operate on 2-D ``numpy.float64`` arrays
+("matrices") or 1-D vectors and never modify their inputs.  Results are
+bit-stable: the same inputs give the same bits on every run.  The 2N x 2N
+work avoids full-size temporaries: ``similarity_matrix`` is one BLAS product
+and ``row_softmax`` works in its single output buffer.
 """
 
 from __future__ import annotations
@@ -53,24 +54,11 @@ def similarity_matrix(z: Matrix) -> Matrix:
         raise ContractViolationError(
             f"row {bad} has norm {norms[bad]!r}; similarity_matrix requires unit rows"
         )
-    s = z @ z.T
-    return 0.5 * (s + s.T)
-
-
-def row_log_sum_exp(x: Matrix, include: Matrix) -> np.ndarray:
-    """Rowwise log-sum-exp over the entries selected by the boolean ``include``.
-
-    Rows with no included entries are an error; callers guarantee coverage.
-    """
-    if x.shape != include.shape:
-        raise ShapeError("mask shape must match matrix shape")
-    counts = include.sum(axis=1)
-    if (counts == 0).any():
-        raise ShapeError(f"row {int(np.argmin(counts))} selects no entries")
-    masked = np.where(include, x, -np.inf)
-    m = masked.max(axis=1)
-    masked -= m[:, None]
-    return m + np.log(np.exp(masked, out=masked).sum(axis=1))
+    # numpy evaluates z @ z.T as one BLAS syrk triangle copied into the other
+    # (and its non-BLAS loop sums s[i, j] and s[j, i] in the same order), so s
+    # is exactly symmetric as it stands.  A gemm on a copy of z.T is faster
+    # but rounds its edge tiles differently from syrk.
+    return z @ z.T
 
 
 def entropy(p) -> float:
@@ -94,6 +82,7 @@ def entropy(p) -> float:
 def row_softmax(x: Matrix) -> Matrix:
     """Stable rowwise softmax; every output row is a probability vector."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e

@@ -234,3 +234,58 @@ def load_csv_rowwise(path, label_column=None):
         seen = {}
         ids = np.asarray([seen.setdefault(tok, len(seen)) for tok in labels], dtype=np.int64)
     return x, ids, tuple(header[j] for j in feature_idx)
+
+
+# Vectorized bodies of the pairwise functions as they stood before the 2N x 2N
+# block was rewritten around gemm and in-place buffers.  Input validation is
+# left out; the rewrites must reproduce these outputs bit for bit.
+
+
+def similarity_matrix_reference(z):
+    s = z @ z.T
+    return 0.5 * (s + s.T)
+
+
+def row_softmax_reference(x):
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def compute_weights_reference(s, gamma):
+    logits = gamma * (1.0 - np.abs(s))
+    np.fill_diagonal(logits, -np.inf)
+    return row_softmax_reference(logits)
+
+
+def init_instance_loss_reference(s, tau):
+    n2 = s.shape[0]
+    twins = (np.arange(n2) + n2 // 2) % n2
+    logits = s / tau
+    masked = np.where(~np.eye(n2, dtype=bool), logits, -np.inf)
+    m = masked.max(axis=1)
+    masked -= m[:, None]
+    log_den = m + np.log(np.exp(masked, out=masked).sum(axis=1))
+    anchors = np.arange(n2)
+    loss = float((log_den - logits[anchors, twins]).mean())
+    p = logits - log_den[:, None]
+    with np.errstate(over="ignore"):  # a small tau overflows the diagonal, zeroed next
+        np.exp(p, out=p)
+    np.fill_diagonal(p, 0.0)
+    p[anchors, twins] -= 1.0
+    p /= n2 * tau
+    return loss, p
+
+
+def c3_loss_reference(s, mask, weights):
+    n2 = s.shape[0]
+    p_num = np.exp(s)
+    p_den = weights * p_num
+    np.fill_diagonal(p_den, 0.0)
+    p_num *= mask
+    num = p_num.sum(axis=1)
+    den = p_den.sum(axis=1)
+    loss = float((np.log(den) - np.log(num)).mean())
+    p_den /= n2 * den[:, None]
+    p_den -= p_num / (n2 * num[:, None])
+    return loss, p_den

@@ -140,6 +140,34 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="not UTF-8"):
             load_csv(path)
 
+    def test_oversized_header_cell_is_csv_format_error(self, tmp_path, capsys):
+        # csv's default field_size_limit is 131072 characters
+        path = tmp_path / "wide.csv"
+        path.write_text("a," + "h" * 200_000 + "\n1.0,2.0\n")
+        with pytest.raises(CsvFormatError, match="field larger than field limit") as exc:
+            load_csv(path)
+        assert exc.value.row == 1 and str(path) in str(exc.value)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("tail", ["", "3.0\n"], ids=["overflows_to_inf", "then_ragged"])
+    def test_oversized_data_cell_is_csv_format_error(self, tmp_path, tail):
+        # np.loadtxt reads the 140 000-digit cell as inf (or fails on the ragged
+        # row after it); positioning the fault re-reads that row with csv
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1.0,2.0\n" + "1" * 140_000 + ",2.0\n" + tail)
+        with pytest.raises(CsvFormatError, match="field larger than field limit") as exc:
+            load_csv(path)
+        assert exc.value.row == 3 and str(path) in str(exc.value)
+
+    def test_non_finite_row_counts_multiline_quoted_records(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        path.write_text('label,a\n"x\ny",1.0\n\nz,nan\n')
+        with pytest.raises(CsvFormatError, match="non-finite") as exc:
+            load_csv(path, label_column="label")
+        assert (exc.value.row, exc.value.col) == (4, 2)
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"
         path.write_text("a,b\n1.0,2.0\n")

@@ -19,17 +19,33 @@ from crossclust.losses import (
 from crossclust.numerics import row_l2_normalize, row_softmax, similarity_matrix
 
 from oracles import (
+    c3_loss_reference,
     c3_loss_scalar,
     central_difference,
     cluster_loss_scalar,
+    compute_weights_reference,
+    init_instance_loss_reference,
     instance_loss_scalar,
     minimize_weights_eg,
     weighting_objective,
 )
 
+# Stacked batch sizes for the bit-identity checks against the reference
+# bodies; the losses work in row blocks, of which 1024 fills 16 exactly and
+# 1000 ends with a partial one.
+PAIRWISE_SIZES = (2, 130, 256, 1000, 1024)
+GAMMAS = (1e-6, 0.1, 100.0, 1000.0)
+TAUS = (1e-3, 0.5)
+
 
 def random_embeddings(rng, n_samples, dim):
     return row_l2_normalize(rng.normal(size=(2 * n_samples, dim)))
+
+
+def pairwise_inputs(n2, dim=32):
+    """Unit embeddings of a stacked batch of 2N = n2 rows and their similarities."""
+    z = random_embeddings(np.random.default_rng(n2), n2 // 2, dim)
+    return z, similarity_matrix(z)
 
 
 def random_assignments(rng, n, m):
@@ -156,6 +172,12 @@ class TestComputeWeights:
         assert w[0, 1] > w[0, 3]
         assert np.argmax(w[0]) == 1  # ties resolve to the lowest index
 
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_bit_identical_to_reference(self, n2, gamma):
+        _, s = pairwise_inputs(n2)
+        assert np.array_equal(compute_weights(s, gamma), compute_weights_reference(s, gamma))
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ConfigError, match="gamma"):
             compute_weights(np.eye(4), 0.0)
@@ -223,6 +245,17 @@ class TestC3Loss:
         doubled, _ = c3_loss(s, mask, 2.0 * w)
         assert doubled - base == pytest.approx(math.log(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_bit_identical_to_reference(self, n2, gamma):
+        _, s = pairwise_inputs(n2)
+        mask = positive_mask(s, 0.3)
+        w = compute_weights(s, gamma)
+        loss, d_s = c3_loss(s, mask, w)
+        ref_loss, ref_d_s = c3_loss_reference(s, mask, w)
+        assert loss == ref_loss
+        assert np.array_equal(d_s, ref_d_s)
+
     def test_empty_positive_row_rejected(self):
         s = np.eye(4)
         mask = np.zeros((4, 4), dtype=bool)
@@ -272,6 +305,19 @@ class TestChainToEmbeddings:
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
 
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    def test_matches_sum_form(self, n2):
+        # dS z + dS^T z rounds differently from (dS + dS^T) z, by ~1e-17 here
+        z, s = pairwise_inputs(n2)
+        grads = (
+            c3_loss(s, positive_mask(s, 0.3), compute_weights(s, 0.1))[1],
+            init_instance_loss(s, 0.5)[1],
+        )
+        for d_s in grads:
+            sum_form = (d_s + d_s.T) @ z
+            np.testing.assert_allclose(chain_to_embeddings(d_s, z), sum_form, rtol=0, atol=1e-15)
+
+
 class TestInitInstanceLoss:
     def test_equal_similarities_n2_gives_log3(self):
         z = np.tile(row_l2_normalize(np.array([[0.6, 0.8]])), (4, 1))
@@ -294,6 +340,46 @@ class TestInitInstanceLoss:
         d_z = chain_to_embeddings(d_s, z)
         numeric = central_difference(lambda m: init_instance_loss(m @ m.T, 0.5)[0], z, eps=1e-5)
         np.testing.assert_allclose(d_z, numeric, atol=1e-5)
+
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_bit_identical_to_reference(self, n2, tau):
+        _, s = pairwise_inputs(n2)
+        loss, d_s = init_instance_loss(s, tau)
+        ref_loss, ref_d_s = init_instance_loss_reference(s, tau)
+        assert loss == ref_loss
+        assert np.array_equal(d_s, ref_d_s)
+
+    def test_large_logits_stay_finite_and_match_reference(self):
+        # near-duplicate twins at tau = 1e-3 put logits at ~1000, where an
+        # unshifted exp overflows
+        rng = np.random.default_rng(15)
+        z_a = row_l2_normalize(rng.normal(size=(8, 4)))
+        z = row_l2_normalize(np.vstack([z_a, z_a + 1e-4 * rng.normal(size=z_a.shape)]))
+        s = similarity_matrix(z)
+        assert (s / 1e-3).max() > 999.0
+        loss, d_s = init_instance_loss(s, 1e-3)
+        assert math.isfinite(loss) and loss >= 0.0
+        assert np.isfinite(d_s).all()
+        ref_loss, ref_d_s = init_instance_loss_reference(s, 1e-3)
+        assert loss == ref_loss
+        assert np.array_equal(d_s, ref_d_s)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.5, 7.25])
+    @pytest.mark.parametrize("pair", [[[1.0, 0.0], [-1.0, 0.0]], [[0.6, 0.8], [0.8, 0.6]]])
+    def test_two_row_batch_is_exactly_zero(self, tau, pair):
+        # with 2N = 2 each row's only non-self entry is its twin, so the
+        # log-sum-exp of the denominator is the twin logit exactly
+        loss, d_s = init_instance_loss(similarity_matrix(np.array(pair)), tau)
+        assert loss == 0.0
+        np.testing.assert_array_equal(d_s, np.zeros((2, 2)))
+
+    @given(st.integers(1, 6), st.integers(0, 10_000), st.floats(-500, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_shift_invariance(self, n, seed, c):
+        s = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+        shifted, _ = init_instance_loss(s + c, 0.5)
+        assert shifted == pytest.approx(init_instance_loss(s, 0.5)[0], abs=1e-10)
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ConfigError, match="tau_I"):

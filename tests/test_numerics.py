@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossclust.errors import ContractViolationError, DegenerateRowError, ShapeError
+from crossclust.errors import ContractViolationError, DegenerateRowError
 from crossclust.numerics import (
     entropy,
     row_l2_normalize,
-    row_log_sum_exp,
     row_softmax,
     similarity_matrix,
 )
+
+from oracles import row_softmax_reference, similarity_matrix_reference
+
+# Stacked batch sizes for the bit-identity checks against the reference bodies.
+PAIRWISE_SIZES = (2, 130, 256, 1024)
 
 
 class TestRowL2Normalize:
@@ -72,38 +76,22 @@ class TestSimilarityMatrix:
         with pytest.raises(ContractViolationError, match="row 1"):
             similarity_matrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("dim", [3, 32])
+    def test_bit_identical_to_reference(self, n2, dim):
+        z = row_l2_normalize(np.random.default_rng(n2 + dim).normal(size=(n2, dim)))
+        assert np.array_equal(similarity_matrix(z), similarity_matrix_reference(z))
 
-def lse_row(values, include=None):
-    """row_log_sum_exp on a single row, all entries included unless a mask is given."""
-    row = np.array([values], dtype=np.float64)
-    mask = np.ones(row.shape, dtype=bool) if include is None else np.array([include])
-    (out,) = row_log_sum_exp(row, mask)
-    return out
-
-
-class TestLogSumExp:
-    def test_two_zeros(self):
-        assert lse_row([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_no_overflow_for_large_inputs(self):
-        assert lse_row([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2), abs=1e-12)
-
-    def test_single_element_exact(self):
-        for a in (-123.456, 0.0, 7.25, 1e80):
-            assert lse_row([a, 5.0], include=[True, False]) == a
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError, match="row 0 selects no entries"):
-            lse_row([1.0, 2.0], include=[False, False])
-
-    @given(
-        st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-        st.floats(-500, 500),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_shift_invariance(self, values, c):
-        v = np.array(values)
-        assert lse_row(v + c) == pytest.approx(lse_row(v) + c, abs=1e-10)
+    @pytest.mark.parametrize("layout", ["c", "fortran", "row_strided"])
+    def test_exactly_symmetric_at_1024(self, layout):
+        z = row_l2_normalize(np.random.default_rng(3).normal(size=(1024, 32)))
+        z = {
+            "c": z,
+            "fortran": np.asfortranarray(z),
+            "row_strided": np.repeat(z, 2, axis=0)[::2],
+        }[layout]
+        s = similarity_matrix(z)
+        assert np.array_equal(s, s.T)
 
 
 class TestEntropy:
@@ -144,3 +132,12 @@ class TestRowSoftmax:
         x = np.array([[0.0, 1.0, 2.0]])
         expected = np.exp(x) / np.exp(x).sum()
         np.testing.assert_allclose(row_softmax(x), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    def test_bit_identical_to_reference_and_input_untouched(self, n2):
+        x = np.random.default_rng(n2).normal(scale=50, size=(n2, n2))
+        x[0, :] = -np.inf
+        x[0, -1] = 3.0
+        before = x.copy()
+        assert np.array_equal(row_softmax(x), row_softmax_reference(x))
+        assert np.array_equal(x, before)
