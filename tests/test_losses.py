@@ -324,6 +324,15 @@ class TestInitInstanceLoss:
         loss, _ = init_instance_loss(similarity_matrix(z), 0.5)
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
+    def test_equal_logits_give_log_of_non_self_count(self):
+        # identical rows make every logit of a row equal, so each row's
+        # log-sum-exp is its logit plus log(2N - 1), also at logits near 1000
+        for n in (2, 3, 8):
+            z = np.tile(row_l2_normalize(np.array([[0.6, 0.8]])), (2 * n, 1))
+            for tau in (1e-3, 0.5, 7.25):
+                loss, _ = init_instance_loss(similarity_matrix(z), tau)
+                assert loss == pytest.approx(math.log(2 * n - 1), abs=1e-12)
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
