@@ -7,6 +7,7 @@ floats are written with shortest round-trip decimal formatting.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import warnings
@@ -20,6 +21,8 @@ from .metrics import Partition
 
 _CENTER_ATTEMPTS = 1000
 _CENTER_MARGIN = 1.05  # typical center spacing sits just above the contracted floor
+_MAX_CELL_CHARS = 2**31 - 1  # csv's cell limit in fault re-reads; fits a 32-bit C long
+_QUOTED_CHARS = 32  # a cell longer than this is cut in error messages
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,17 @@ class Dataset:
 def standardize(dataset: Dataset) -> Dataset:
     """Shift/scale each feature to zero mean and unit variance.
 
-    Constant features are left centered but unscaled.
+    Constant features are left centered but unscaled.  The result is
+    ``(X - mean) / std`` bit for bit, computed in its one output buffer;
+    ``dataset.X`` is not modified.
     """
     x = dataset.X
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return replace(dataset, X=(x - mean) / std)
+    out = np.subtract(x, mean)
+    out /= std
+    return replace(dataset, X=out)
 
 
 def generate_blobs(
@@ -151,8 +158,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     row 1).  A row with the wrong cell count raises with its row.  Blank
     lines are skipped but still counted in row numbers.  A file that is not
     UTF-8, or a header cell longer than ``csv.field_size_limit()``, raises
-    :class:`CsvFormatError` naming the path, as does a longer data cell
-    where a fault report needs to re-read its row.
+    :class:`CsvFormatError` naming the path; data cells have no length limit.
 
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
@@ -208,8 +214,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 def _records(path: Path):
     """Yield ``(row, cells)`` for every record after the header (the header is row 1).
 
-    Blank lines yield empty records, so rows count them.  A cell longer than
-    ``csv.field_size_limit()`` raises :class:`CsvFormatError` with its row.
+    Blank lines yield empty records, so rows count them.  A record csv cannot
+    split raises :class:`CsvFormatError` with its row.  Its callers run under
+    :func:`_wide_cells`, since ``np.loadtxt`` has no cell length limit.
     """
     row = 1
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -222,6 +229,25 @@ def _records(path: Path):
             raise CsvFormatError(f"{path}: {exc}", row=row + 1) from None
 
 
+@contextlib.contextmanager
+def _wide_cells():
+    """Lift ``csv.field_size_limit()`` during a re-read (a ``with`` block or a
+    decorated function), restoring it on exit."""
+    limit = csv.field_size_limit(_MAX_CELL_CHARS)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _quote(cell: str) -> str:
+    """``repr`` of a cell for an error message, cut to a short prefix."""
+    if len(cell) <= _QUOTED_CHARS:
+        return repr(cell)
+    return f"{cell[:_QUOTED_CHARS]!r}... ({len(cell)} chars)"
+
+
+@_wide_cells()
 def _non_finite_fault(path: Path, record: int, col: int) -> CsvFormatError:
     """Position a non-finite cell: column ``col`` (0-based, in file order) of
     the ``record``-th data row ``np.loadtxt`` returned (0-based, blank lines
@@ -229,9 +255,10 @@ def _non_finite_fault(path: Path, record: int, col: int) -> CsvFormatError:
     """
     data_rows = ((row, cells) for row, cells in _records(path) if cells)
     row, cells = next(itertools.islice(data_rows, record, None))
-    return CsvFormatError(f"non-finite cell {cells[col]!r}", row=row, col=col + 1)
+    return CsvFormatError(f"non-finite cell {_quote(cells[col])}", row=row, col=col + 1)
 
 
+@_wide_cells()
 def _first_fault(path: Path, width: int, label_idx: int | None) -> CsvFormatError:
     """Re-read a CSV that ``np.loadtxt`` rejected, row by row, and position its first fault.
 
@@ -253,5 +280,5 @@ def _first_fault(path: Path, width: int, label_idx: int | None) -> CsvFormatErro
                     raise ValueError(text)
                 float(text)
             except ValueError:
-                return CsvFormatError(f"non-numeric cell {cell!r}", row=line_no, col=j + 1)
+                return CsvFormatError(f"non-numeric cell {_quote(cell)}", row=line_no, col=j + 1)
     return CsvFormatError(f"{path} could not be parsed as CSV")

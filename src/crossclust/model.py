@@ -27,6 +27,9 @@ from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import Matrix, as_matrix, row_l2_normalize, row_softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
+# Activation entries per row block in cluster_probabilities (4 MiB of float64):
+# 4096 rows at a 128-wide layer.
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,40 @@ def forward(params: ModelParams, x) -> ForwardCache:
     )
 
 
+def _row_blocks(n: int, width: int):
+    """Row slices that tile ``range(n)`` so a block of a ``width``-column activation
+    holds about ``_BLOCK_ENTRIES`` entries.  No block has one row unless n is 1:
+    a one-row product takes BLAS's gemv path, which rounds differently from
+    gemm, so a trailing one-row block joins the block before it."""
+    step = max(2, _BLOCK_ENTRIES // width)
+    bounds = [*range(0, n, step), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(r0, r1) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+
 def cluster_probabilities(params: ModelParams, x) -> Matrix:
     """c = softmax(cluster_head(f(x))) alone: the instance head is never evaluated.
 
-    Equals ``forward(params, x).c`` bit for bit, and takes rows whose instance
-    embedding is zero (which ``forward`` cannot normalize).  Nothing is kept
-    for backward, so only two activations are alive at a time.
+    More rows than one block (see :func:`_row_blocks`) are evaluated block by
+    block into one (n, M) output, so only one block's activations are alive
+    at a time.  Up to one block of rows this equals ``forward(params, x).c``
+    bit for bit; beyond it a block's products may round differently in the
+    last bit, and the argmax labels are the same.  Takes rows whose instance
+    embedding is zero (which ``forward`` cannot normalize).
     """
-    a = _input_matrix(params, x)
+    x = _input_matrix(params, x)
     layers = [*params.encoder, *params.cluster_head]
+    blocks = _row_blocks(x.shape[0], max(layer.bias.size for layer in layers))
+    if len(blocks) < 2:
+        return _cluster_pass(layers, x)
+    out = np.empty((x.shape[0], params.dims.num_clusters))
+    for rows in blocks:
+        out[rows] = _cluster_pass(layers, x[rows])
+    return out
+
+
+def _cluster_pass(layers, a) -> Matrix:
     for k, layer in enumerate(layers):
         a = a @ layer.weight
         a += layer.bias

@@ -23,7 +23,7 @@ import numpy as np
 from .augment import augment_batch
 from .config import TrainConfig
 from .data import Dataset
-from .errors import ConfigError, CsvFormatError, NonFiniteError
+from .errors import ConfigError, CsvFormatError, DegenerateRowError, NonFiniteError
 from .losses import (
     c3_loss,
     chain_to_embeddings,
@@ -143,6 +143,21 @@ def _abort_diagnostic(stage, epoch, batch, parts):
     )
 
 
+def _batch_forward(params, x_a, x_b, stage, epoch, batch, idx):
+    """``forward`` on both views stacked.  A zero-norm instance embedding is
+    re-raised naming the stage, epoch, batch, view and dataset row."""
+    try:
+        return forward(params, np.vstack([x_a, x_b]))
+    except DegenerateRowError as exc:
+        n = len(idx)
+        row = int(idx[exc.row % n])
+        raise DegenerateRowError(
+            row,
+            f"zero-norm instance embedding in stage '{stage}' at epoch {epoch}, "
+            f"batch {batch}: view {'ab'[exc.row // n]} of dataset row {row}",
+        ) from None
+
+
 def predict(params: ModelParams, x) -> Partition:
     """Hard cluster labels: argmax of the assignment probabilities, ties to the lowest index."""
     labels = np.argmax(cluster_probabilities(params, x), axis=1)
@@ -195,7 +210,7 @@ def train_init(
         for b, idx in _epoch_batches(seed, STAGE_INIT, epoch, data.n, config.batch_size):
             key = _batch_key(seed, STAGE_INIT, epoch, b)
             x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
-            cache = forward(params, np.vstack([x_a, x_b]))
+            cache = _batch_forward(params, x_a, x_b, STAGE_INIT, epoch, b, idx)
             n = len(idx)
             s = similarity_matrix(cache.z)
             loss_inst, d_s = init_instance_loss(s, config.tau_I)
@@ -226,7 +241,7 @@ def _c3_pass(params, config, data, seed, epoch, state):
     for b, idx in _epoch_batches(seed, STAGE_C3, epoch, data.n, config.batch_size):
         key = _batch_key(seed, STAGE_C3, epoch, b)
         x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
-        cache = forward(params, np.vstack([x_a, x_b]))
+        cache = _batch_forward(params, x_a, x_b, STAGE_C3, epoch, b, idx)
         sim = similarity_matrix(cache.z)
         mask = positive_mask(sim, config.zeta)
         weights = compute_weights(sim, config.gamma)  # frozen: constants for the gradient

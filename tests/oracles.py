@@ -289,3 +289,16 @@ def c3_loss_reference(s, mask, weights):
     p_den /= n2 * den[:, None]
     p_den -= p_num / (n2 * num[:, None])
     return loss, p_den
+
+
+def cluster_probabilities_reference(params, x):
+    """``model.cluster_probabilities`` as one pass over all rows, before it
+    was split into row blocks."""
+    a = x
+    layers = [*params.encoder, *params.cluster_head]
+    for k, layer in enumerate(layers):
+        a = a @ layer.weight
+        a += layer.bias
+        if k < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+    return row_softmax_reference(a)

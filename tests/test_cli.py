@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ class TestTrain:
         assert err.count("\n") == 1
         assert f"config field '{field}'" in err
         assert "Traceback" not in err
+
+    def test_zero_norm_embedding_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "d2.csv"
+        blobs = ["--n", "200", "--d", "2", "--clusters", "3", "--sep", "6", "--sigma", "1"]
+        assert main(["generate", *blobs, "--seed", "0", "--out", str(data)]) == 0
+        cfg = tmp_path / "mask.yaml"
+        cfg.write_text("augment: {mask_rate: 0.5}\nM: 3\ninit_epochs: 1\nbatch_size: 16\n")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert re.search(r"stage 'init' at epoch 1, batch \d+: view [ab] of dataset row \d+$", err)
 
     def test_missing_data_exits_nonzero(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])

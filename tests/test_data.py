@@ -1,3 +1,5 @@
+import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -66,6 +68,29 @@ class TestStandardize:
         out = standardize(ds)
         assert np.isfinite(out.X).all()
         np.testing.assert_array_equal(out.X[:, 0], 0.0)
+
+    def test_equals_shift_then_scale_and_leaves_input(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(-2.0, 7.0, size=(300, 5))
+        x[:, 2] = 4.25  # constant: std 0 is replaced by 1
+        before = x.copy()
+        mean, std = x.mean(axis=0), x.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        out = standardize(Dataset(X=x))
+        np.testing.assert_array_equal(out.X, (x - mean) / std)
+        np.testing.assert_array_equal(x, before)
+
+    def test_holds_one_full_size_buffer(self):
+        x = np.random.default_rng(2).normal(size=(20_000, 32))
+        ds = Dataset(X=x)
+        tracemalloc.start()
+        try:
+            out = standardize(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.X.shape == x.shape
+        assert peak < 1.5 * x.nbytes
 
 
 class TestCsvRoundTrip:
@@ -151,15 +176,32 @@ class TestCsvRoundTrip:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("tail", ["", "3.0\n"], ids=["overflows_to_inf", "then_ragged"])
-    def test_oversized_data_cell_is_csv_format_error(self, tmp_path, tail):
+    @pytest.mark.parametrize(
+        "tail, message, row, col",
+        [("", "non-finite cell '1111", 3, 1), ("3.0\n", "expected 2 cells, found 1", 4, None)],
+        ids=["overflows_to_inf", "then_ragged"],
+    )
+    def test_oversized_data_cell_is_csv_format_error(self, tmp_path, tail, message, row, col):
         # np.loadtxt reads the 140 000-digit cell as inf (or fails on the ragged
-        # row after it); positioning the fault re-reads that row with csv
+        # row after it); the re-read that positions the fault gets past the
+        # cell although it is longer than csv.field_size_limit()
         path = tmp_path / "long.csv"
         path.write_text("a,b\n1.0,2.0\n" + "1" * 140_000 + ",2.0\n" + tail)
-        with pytest.raises(CsvFormatError, match="field larger than field limit") as exc:
+        limit = csv.field_size_limit()
+        with pytest.raises(CsvFormatError, match=message) as exc:
             load_csv(path)
-        assert exc.value.row == 3 and str(path) in str(exc.value)
+        assert (exc.value.row, exc.value.col) == (row, col)
+        assert len(str(exc.value)) < 100  # the long cell is quoted by a short prefix
+        assert csv.field_size_limit() == limit
+
+    def test_non_finite_cell_after_oversized_finite_cell_is_positioned(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n0." + "0" * 139_997 + "1,2.0\nnan,1.0\n")
+        limit = csv.field_size_limit()
+        with pytest.raises(CsvFormatError, match="non-finite cell 'nan'") as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (3, 1)
+        assert csv.field_size_limit() == limit
 
     def test_non_finite_row_counts_multiline_quoted_records(self, tmp_path):
         path = tmp_path / "multiline.csv"

@@ -1,9 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import cluster_probabilities_reference
 
+import crossclust.model as model
 from crossclust.errors import ConfigError, NonFiniteError, ShapeError
 from crossclust.losses import chain_to_embeddings, init_cluster_loss, init_instance_loss
 from crossclust.model import (
@@ -11,6 +14,7 @@ from crossclust.model import (
     ModelDims,
     adam_step,
     backward,
+    cluster_probabilities,
     forward,
     grad_check,
     init_params,
@@ -20,6 +24,9 @@ from crossclust.model import (
 from crossclust.numerics import similarity_matrix
 
 SMALL_DIMS = ModelDims(input_dim=6, encoder_hidden=(16, 8), z_dim=4, num_clusters=3)
+ODD_DIMS = ModelDims(input_dim=17, encoder_hidden=(33, 9), z_dim=4, num_clusters=3)
+PROTOCOL_DIMS = ModelDims(input_dim=32, encoder_hidden=(128, 64), z_dim=32, num_clusters=5)
+ALL_DIMS = [SMALL_DIMS, ODD_DIMS, PROTOCOL_DIMS]
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.json"
 
 
@@ -121,6 +128,68 @@ class TestForward:
         np.testing.assert_array_equal(c1.z, c2.z)
         np.testing.assert_array_equal(c1.c, c2.c)
         np.testing.assert_array_equal(c1.h, c2.h)
+
+
+def widest(dims):
+    return max(*dims.encoder_hidden, dims.num_clusters)
+
+
+def block_rows(dims):
+    """Rows per block of ``cluster_probabilities`` at ``dims``."""
+    return model._BLOCK_ENTRIES // widest(dims)
+
+
+class TestClusterProbabilities:
+    @pytest.mark.parametrize("dims", ALL_DIMS, ids=["small", "odd", "protocol"])
+    def test_one_block_is_bit_identical_to_single_pass_and_forward(self, dims):
+        rng = np.random.default_rng(6)
+        p = init_params(7, dims)
+        for n in [1, 2, 333, block_rows(dims)]:
+            x = rng.normal(size=(n, dims.input_dim))
+            c = cluster_probabilities(p, x)
+            np.testing.assert_array_equal(c, cluster_probabilities_reference(p, x))
+            if dims is PROTOCOL_DIMS:  # narrow heads give rows forward cannot normalize
+                np.testing.assert_array_equal(c, forward(p, x).c)
+
+    @pytest.mark.parametrize("dims", ALL_DIMS, ids=["small", "odd", "protocol"])
+    @pytest.mark.parametrize("offset", [-1, 1, 9], ids=["block-1", "block+1", "2block+1"])
+    def test_many_blocks_give_single_pass_labels(self, monkeypatch, dims, offset):
+        # 8-row blocks; offset 9 is 2 * 8 + 1 rows.  Products of different
+        # block shapes may round differently in the last bit.
+        monkeypatch.setattr(model, "_BLOCK_ENTRIES", 8 * widest(dims))
+        assert block_rows(dims) == 8
+        rng = np.random.default_rng(8)
+        p = init_params(9, dims)
+        x = rng.normal(size=(8 + offset, dims.input_dim))
+        c = cluster_probabilities(p, x)
+        want = cluster_probabilities_reference(p, x)
+        np.testing.assert_allclose(c, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(c, axis=1), np.argmax(want, axis=1))
+        if offset < 0:
+            np.testing.assert_array_equal(c, want)
+
+    @pytest.mark.parametrize("width", [1, 3, 50, 1 << 40])
+    def test_blocks_tile_the_rows_without_one_row_blocks(self, width):
+        step = max(2, model._BLOCK_ENTRIES // width)
+        for n in [0, 1, 2, 3, step - 1, step, step + 1, 2 * step + 1, 3 * step + 2]:
+            blocks = model._row_blocks(n, width)
+            bounds = [0, *(rows.stop for rows in blocks)]
+            assert [rows.start for rows in blocks] == bounds[:-1] and bounds[-1] == n
+            assert all(rows.stop - rows.start > 1 for rows in blocks) or n == 1
+            assert all(rows.stop - rows.start <= step + 1 for rows in blocks)
+
+    def test_memory_stays_below_one_full_activation(self):
+        # one 20 000 x 128 float64 activation is 20.48 MB; blocks keep far less alive
+        p = init_params(0, PROTOCOL_DIMS)
+        x = np.random.default_rng(0).normal(size=(20_000, 32))
+        tracemalloc.start()
+        try:
+            c = cluster_probabilities(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.shape == (20_000, 5)
+        assert peak < 20_000 * 128 * 8
 
 
 class TestBackward:

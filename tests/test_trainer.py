@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from crossclust.augment import AugmentConfig, augment_batch
 from crossclust.config import DimsSpec, TrainConfig
 from crossclust.data import generate_blobs
-from crossclust.errors import ConfigError, NonFiniteError
+from crossclust.errors import ConfigError, DegenerateRowError, NonFiniteError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
 from crossclust.model import ModelDims, backward, forward, grad_check, init_params
@@ -125,6 +126,43 @@ class TestNonFiniteAbort:
         cfg = SMALL_CFG.override(init_epochs=1 if stage == "init" else 0)
         with pytest.raises(NonFiniteError, match=rf"stage '{stage}' at epoch {epoch}, batch 0"):
             train(cfg, small_data)
+
+
+class TestDegenerateEmbedding:
+    @pytest.mark.parametrize("stage, epoch", [("init", 1), ("c3", 0)])
+    def test_zero_norm_row_names_stage_epoch_batch_view_and_dataset_row(
+        self, small_data, monkeypatch, stage, epoch
+    ):
+        import crossclust.trainer as trainer
+
+        def degenerate(params, x):
+            raise DegenerateRowError(x.shape[0] // 2 + 3)  # row 3 of view b
+
+        monkeypatch.setattr(trainer, "forward", degenerate)
+        cfg = SMALL_CFG.override(init_epochs=1 if stage == "init" else 0)
+        with pytest.raises(DegenerateRowError) as exc:
+            train(cfg, small_data)
+        _, idx = next(trainer._epoch_batches(cfg.seed, stage, epoch, small_data.n, cfg.batch_size))
+        assert exc.value.row == idx[3]
+        assert str(exc.value) == (
+            f"zero-norm instance embedding in stage '{stage}' at epoch {epoch}, "
+            f"batch 0: view b of dataset row {idx[3]}"
+        )
+
+    def test_fully_masked_view_is_named(self):
+        # d=2 at mask_rate 0.5 masks both features of a view a quarter of the
+        # time; zero biases then map it to a zero instance embedding
+        import crossclust.trainer as trainer
+
+        data = generate_blobs(seed=0, n=200, d=2, clusters=3, separation=6.0, sigma=1.0)
+        cfg = SMALL_CFG.override(init_epochs=1, augment=AugmentConfig(mask_rate=0.5))
+        with pytest.raises(DegenerateRowError, match="stage 'init' at epoch 1, batch 0: view") as exc:
+            train_init(cfg, data)
+        _, idx = next(trainer._epoch_batches(cfg.seed, "init", 1, data.n, cfg.batch_size))
+        key = trainer._batch_key(cfg.seed, "init", 1, 0)
+        views = dict(zip("ab", augment_batch(cfg.augment, data.X[idx], key, row_keys=idx)))
+        view = str(exc.value).split("view ")[1][0]
+        np.testing.assert_array_equal(views[view][list(idx).index(exc.value.row)], 0.0)
 
 
 class TestWeightFreezing:
