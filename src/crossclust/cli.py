@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import TrainConfig, load_config
@@ -311,6 +310,9 @@ def cmd_sweep(args, parser) -> int:
                 payloads.append(payload)
 
     if args.jobs > 1 and len(payloads) > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_job, payloads))
     else:

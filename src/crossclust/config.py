@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import yaml
-
 from .augment import AugmentConfig
 from .errors import ConfigError
 
@@ -147,6 +145,8 @@ def config_from_dict(raw: dict) -> TrainConfig:
 
 def load_config(path) -> TrainConfig:
     """Parse a YAML config file, fill defaults, and validate invariants."""
+    import yaml  # imported here: only a config file needs PyYAML
+
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = yaml.safe_load(text)

@@ -13,6 +13,14 @@ come from a closed-form entropy-regularized optimization over the simplex;
 they are constants with respect to network gradients.  Its sums run on
 ``exp(s)`` unshifted, as cosines are bounded.  The initialization-stage
 cluster term is the instance loss on the cosines of the 2M assignment columns.
+
+Training calls the stage objectives, ``instance_objective`` and
+``c3_objective``: each computes s from the embeddings and overwrites it, row
+block by row block, with its gradient, so a step holds one 2N x 2N buffer and
+never a full mask or weight matrix.  The per-matrix functions
+(``positive_mask``, ``compute_weights``, ``c3_loss``, ``init_instance_loss``)
+run the same row-block kernels into fresh outputs, with the same bits; they
+serve tests, oracles and the frozen-weight gradient checks.
 """
 
 from __future__ import annotations
@@ -20,23 +28,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, DegenerateRowError, ShapeError
-from .numerics import Matrix, row_softmax
+from .numerics import Matrix, row_softmax, similarity_matrix
 
 __all__ = [
     "twin_indices",
     "positive_mask",
     "compute_weights",
     "c3_loss",
+    "c3_objective",
     "chain_to_embeddings",
     "init_instance_loss",
+    "instance_objective",
     "init_cluster_loss",
     "count_positive_pairs",
 ]
 
-# compute_weights, c3_loss and init_instance_loss walk the 2N x 2N matrix in
-# row blocks of about this many entries (512 KiB of float64), so each
-# elementwise pass finds its block still in cache.  Every step is row-local,
-# so the results are the same bits for any block size.
+# The losses and objectives walk the 2N x 2N matrix in row blocks of about
+# this many entries (512 KiB of float64), so each elementwise pass finds its
+# block still in cache.  Every step is row-local, so the results are the same
+# bits for any block size.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -64,17 +74,95 @@ def _check_square(s, name="similarity matrix", dtype=np.float64) -> Matrix:
     return s
 
 
-def positive_mask(s: Matrix, zeta: float) -> np.ndarray:
-    """Boolean matrix of positives: s[i, j] >= zeta, self excluded, twin forced."""
+def _check_zeta(zeta: float) -> None:
     if not -1.0 <= zeta <= 1.0:
         raise ConfigError("zeta", f"threshold must lie in [-1, 1], got {zeta}")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not gamma > 0:
+        raise ConfigError("gamma", f"weight concentration must be positive, got {gamma}")
+
+
+def _check_tau_i(tau_i: float) -> None:
+    if not tau_i > 0:
+        raise ConfigError("tau_I", f"temperature must be positive, got {tau_i}")
+
+
+# Row-block kernels.  Each takes the rows ``s_rows`` of a similarity matrix,
+# the (block row, column) indices ``diag`` of their self pairs and, where
+# needed, the column ``twin_cols`` of each row's twin.  The gradient kernels
+# write into ``out``, which may be ``s_rows`` itself: every read of s_rows
+# comes before the first write.
+
+
+def _positive_block(s_rows: Matrix, diag, twin_cols, zeta: float) -> np.ndarray:
+    mask = s_rows >= zeta
+    mask[diag] = False
+    mask[diag[0], twin_cols] = True
+    return mask
+
+
+def _weights_block(s_rows: Matrix, diag, gamma: float) -> Matrix:
+    logits = np.abs(s_rows)
+    np.subtract(1.0, logits, out=logits)
+    logits *= gamma
+    logits[diag] = -np.inf
+    return row_softmax(logits)
+
+
+def _c3_block(s_rows: Matrix, mask_rows, w_rows, diag, out: Matrix):
+    """Per-row numerator and denominator sums; ``out`` gets the gradient rows."""
+    n2 = s_rows.shape[1]
+    p_num = np.exp(s_rows)
+    p_den = np.multiply(w_rows, p_num, out=out)
+    p_den[diag] = 0.0
+    p_num *= mask_rows
+    num = p_num.sum(axis=1)
+    den = p_den.sum(axis=1)
+    if num.all() and den.all():  # an empty row raises in _c3_total
+        p_den /= n2 * den[:, None]
+        p_num /= n2 * num[:, None]
+        p_den -= p_num
+    return num, den
+
+
+def _c3_total(num: np.ndarray, den: np.ndarray) -> float:
+    if (num == 0).any():
+        raise ContractViolationError(
+            f"positive-mask row {int(np.argmin(num))} is empty; "
+            "twin inclusion should make this unreachable"
+        )
+    if (den == 0).any():
+        raise ContractViolationError(
+            f"weight row {int(np.argmin(den))} has no positive off-self entry"
+        )
+    return float((np.log(den) - np.log(num)).mean())
+
+
+def _instance_block(s_rows: Matrix, diag, twin_cols, tau_i: float, out: Matrix) -> np.ndarray:
+    """Per-row losses; ``out`` gets the gradient rows."""
+    n2 = s_rows.shape[1]
+    logits = np.divide(s_rows, tau_i, out=out)
+    logits[diag] = -np.inf  # self pairs leave the denominator
+    top = logits.max(axis=1)
+    shifted = logits - top[:, None]
+    log_den = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    twin_logit = logits[diag[0], twin_cols]
+    # the gradient overwrites the logits; exp(-inf) zeroes the self pairs
+    logits -= log_den[:, None]
+    np.exp(logits, out=logits)
+    logits[diag[0], twin_cols] -= 1.0
+    logits /= n2 * tau_i
+    return log_den - twin_logit
+
+
+def positive_mask(s: Matrix, zeta: float) -> np.ndarray:
+    """Boolean matrix of positives: s[i, j] >= zeta, self excluded, twin forced."""
+    _check_zeta(zeta)
     s = _check_square(s)
     n2 = s.shape[0]
-    twins = twin_indices(n2)
-    mask = s >= zeta
-    np.fill_diagonal(mask, False)
-    mask[np.arange(n2), twins] = True
-    return mask
+    return _positive_block(s, (np.arange(n2), np.arange(n2)), twin_indices(n2), zeta)
 
 
 def compute_weights(s: Matrix, gamma: float) -> Matrix:
@@ -84,16 +172,11 @@ def compute_weights(s: Matrix, gamma: float) -> Matrix:
     computed from frozen similarities: callers must treat them as constants
     when differentiating.
     """
-    if not gamma > 0:
-        raise ConfigError("gamma", f"weight concentration must be positive, got {gamma}")
+    _check_gamma(gamma)
     s = _check_square(s)
     weights = np.empty(s.shape)
     for rows, diag in _row_blocks(s.shape[0]):
-        logits = np.abs(s[rows])
-        np.subtract(1.0, logits, out=logits)
-        logits *= gamma
-        logits[diag] = -np.inf
-        weights[rows] = row_softmax(logits)
+        weights[rows] = _weights_block(s[rows], diag, gamma)
     return weights
 
 
@@ -118,27 +201,35 @@ def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix
     num = np.empty(n2)
     den = np.empty(n2)
     for rows, diag in _row_blocks(n2):
-        p_num = np.exp(s[rows])
-        p_den = np.multiply(weights[rows], p_num, out=d_s[rows])
-        p_den[diag] = 0.0
-        p_num *= mask[rows]
-        num[rows] = p_num.sum(axis=1)
-        den[rows] = p_den.sum(axis=1)
-        if num[rows].all() and den[rows].all():  # an empty row raises below
-            p_den /= n2 * den[rows, None]
-            p_num /= n2 * num[rows, None]
-            p_den -= p_num
-    if (num == 0).any():
-        raise ContractViolationError(
-            f"positive-mask row {int(np.argmin(num))} is empty; "
-            "twin inclusion should make this unreachable"
-        )
-    if (den == 0).any():
-        raise ContractViolationError(
-            f"weight row {int(np.argmin(den))} has no positive off-self entry"
-        )
-    loss = float((np.log(den) - np.log(num)).mean())
-    return loss, d_s
+        num[rows], den[rows] = _c3_block(s[rows], mask[rows], weights[rows], diag, out=d_s[rows])
+    return _c3_total(num, den), d_s
+
+
+def c3_objective(z: Matrix, zeta: float, gamma: float) -> tuple[float, Matrix, float]:
+    """One c3 step on the stacked unit embeddings ``z``: the loss, its
+    gradient w.r.t. s = z z^T and the mean number of zeta-positives per anchor.
+
+    The same bits as ``c3_loss(s, positive_mask(s, zeta), compute_weights(s,
+    gamma))`` and ``count_positive_pairs`` of that mask, but the mask and the
+    weights exist one row block at a time and the gradient overwrites s in
+    place: the returned gradient is s's own buffer.  As in ``c3_loss``, the
+    weights are constants for the gradient.
+    """
+    _check_zeta(zeta)
+    _check_gamma(gamma)
+    s = similarity_matrix(z)
+    n2 = s.shape[0]
+    twins = twin_indices(n2)
+    positives = np.empty(n2, dtype=np.int_)
+    num = np.empty(n2)
+    den = np.empty(n2)
+    for rows, diag in _row_blocks(n2):
+        block = s[rows]
+        mask = _positive_block(block, diag, twins[rows], zeta)
+        positives[rows] = mask.sum(axis=1)
+        weights = _weights_block(block, diag, gamma)
+        num[rows], den[rows] = _c3_block(block, mask, weights, diag, out=block)
+    return _c3_total(num, den), s, float(positives.mean())
 
 
 def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:
@@ -164,28 +255,39 @@ def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
     loss over 2N anchors and its analytic gradient w.r.t. ``s``; pull it back
     to the embeddings with :func:`chain_to_embeddings`.
     """
-    if not tau_i > 0:
-        raise ConfigError("tau_I", f"temperature must be positive, got {tau_i}")
+    _check_tau_i(tau_i)
     s = _check_square(s)
     n2 = s.shape[0]
     twins = twin_indices(n2)
     d_s = np.empty(s.shape)
-    log_den = np.empty(n2)
-    twin_logit = np.empty(n2)
+    row_loss = np.empty(n2)
     for rows, diag in _row_blocks(n2):
-        logits = np.divide(s[rows], tau_i, out=d_s[rows])
-        logits[diag] = -np.inf  # self pairs leave the denominator
-        top = logits.max(axis=1)
-        shifted = logits - top[:, None]
-        log_den[rows] = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
-        twin_logit[rows] = logits[diag[0], twins[rows]]
-        # the gradient overwrites the logits; exp(-inf) zeroes the self pairs
-        logits -= log_den[rows, None]
-        np.exp(logits, out=logits)
-        logits[diag[0], twins[rows]] -= 1.0
-        logits /= n2 * tau_i
-    loss = float((log_den - twin_logit).mean())
-    return loss, d_s
+        row_loss[rows] = _instance_block(s[rows], diag, twins[rows], tau_i, out=d_s[rows])
+    return float(row_loss.mean()), d_s
+
+
+def instance_objective(z: Matrix, tau_i: float, zeta: float) -> tuple[float, Matrix, float]:
+    """One init step's instance term on the stacked unit embeddings ``z``: the
+    loss, its gradient w.r.t. s = z z^T and the mean number of zeta-positives
+    per anchor.
+
+    The same bits as ``init_instance_loss(s, tau_i)`` and
+    ``count_positive_pairs(positive_mask(s, zeta))``, but the mask exists one
+    row block at a time and the gradient overwrites s in place: the returned
+    gradient is s's own buffer.
+    """
+    _check_tau_i(tau_i)
+    _check_zeta(zeta)
+    s = similarity_matrix(z)
+    n2 = s.shape[0]
+    twins = twin_indices(n2)
+    positives = np.empty(n2, dtype=np.int_)
+    row_loss = np.empty(n2)
+    for rows, diag in _row_blocks(n2):
+        block = s[rows]
+        positives[rows] = _positive_block(block, diag, twins[rows], zeta).sum(axis=1)
+        row_loss[rows] = _instance_block(block, diag, twins[rows], tau_i, out=block)
+    return float(row_loss.mean()), s, float(positives.mean())
 
 
 def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Matrix, Matrix]:

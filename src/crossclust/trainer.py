@@ -24,15 +24,7 @@ from .augment import augment_batch
 from .config import TrainConfig
 from .data import Dataset
 from .errors import ConfigError, CsvFormatError, DegenerateRowError, NonFiniteError
-from .losses import (
-    c3_loss,
-    chain_to_embeddings,
-    compute_weights,
-    count_positive_pairs,
-    init_cluster_loss,
-    init_instance_loss,
-    positive_mask,
-)
+from .losses import c3_objective, chain_to_embeddings, init_cluster_loss, instance_objective
 from .metrics import Partition, accuracy, ari, nmi
 from .model import (
     AdamState,
@@ -44,7 +36,7 @@ from .model import (
     forward,
     init_params,
 )
-from .numerics import entropy, similarity_matrix
+from .numerics import entropy
 
 STAGE_INIT = "init"
 STAGE_C3 = "c3"
@@ -212,8 +204,7 @@ def train_init(
             x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
             cache = _batch_forward(params, x_a, x_b, STAGE_INIT, epoch, b, idx)
             n = len(idx)
-            s = similarity_matrix(cache.z)
-            loss_inst, d_s = init_instance_loss(s, config.tau_I)
+            loss_inst, d_s, count = instance_objective(cache.z, config.tau_I, config.zeta)
             loss_clu, d_ca, d_cb = init_cluster_loss(cache.c[:n], cache.c[n:], config.tau_C)
             loss = loss_inst + loss_clu
             if not np.isfinite(loss):
@@ -221,10 +212,11 @@ def train_init(
                     STAGE_INIT, epoch, b, {"instance": loss_inst, "cluster": loss_clu}
                 )
             d_z = chain_to_embeddings(d_s, cache.z)
+            del d_s  # the step's one 2N x 2N buffer: none is alive in backward
             grads = backward(params, cache, d_z, np.vstack([d_ca, d_cb]))
             params, state = adam_step(params, grads, state, lr=config.init_lr)
             losses.append(loss)
-            pairs.append(count_positive_pairs(positive_mask(s, config.zeta)))
+            pairs.append(count)
         metrics = evaluate(params, data) if data.truth is not None else {}
         records.append(
             _record(STAGE_INIT, epoch, float(np.mean(losses)), float(np.mean(pairs)), metrics)
@@ -242,16 +234,14 @@ def _c3_pass(params, config, data, seed, epoch, state):
         key = _batch_key(seed, STAGE_C3, epoch, b)
         x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
         cache = _batch_forward(params, x_a, x_b, STAGE_C3, epoch, b, idx)
-        sim = similarity_matrix(cache.z)
-        mask = positive_mask(sim, config.zeta)
-        weights = compute_weights(sim, config.gamma)  # frozen: constants for the gradient
-        loss, d_s = c3_loss(sim, mask, weights)
+        loss, d_s, count = c3_objective(cache.z, config.zeta, config.gamma)
         if not np.isfinite(loss):
             raise _abort_diagnostic(STAGE_C3, epoch, b, {"c3": loss})
         losses.append(loss)
-        pairs.append(count_positive_pairs(mask))
+        pairs.append(count)
+        d_z = chain_to_embeddings(d_s, cache.z) if update else None
+        del d_s  # the step's one 2N x 2N buffer: none is alive in backward
         if update:
-            d_z = chain_to_embeddings(d_s, cache.z)
             grads = backward(params, cache, d_z, np.zeros_like(cache.c))
             params, state = adam_step(params, grads, state, lr=config.c3_lr)
     return params, state, float(np.mean(losses)), float(np.mean(pairs))

@@ -1,10 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossclust
 from crossclust.cli import main
 from crossclust.data import load_csv
 from crossclust.trainer import read_history
@@ -440,3 +444,19 @@ class TestSweep:
         statuses = {line.split(",")[3] for line in rows[1:]}
         assert statuses == {"ok", "failed"}
         assert (out / "gamma=5" / "seed=0" / "error.txt").read_text().startswith("RuntimeError")
+
+
+class TestImportCost:
+    def test_cli_import_skips_modules_of_other_commands(self):
+        # PyYAML is loaded by --config only and multiprocessing by sweep --jobs;
+        # every command starts a fresh interpreter, so eager imports cost each one
+        src = str(Path(crossclust.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = (
+            "import sys, crossclust.cli; "
+            "print(sorted(m for m in ('yaml', 'concurrent.futures') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from crossclust.errors import ConfigError, ContractViolationError, DegenerateRowError, ShapeError
 from crossclust.losses import (
     c3_loss,
+    c3_objective,
     chain_to_embeddings,
     compute_weights,
     count_positive_pairs,
     init_cluster_loss,
     init_instance_loss,
+    instance_objective,
     positive_mask,
     twin_indices,
 )
@@ -36,6 +39,7 @@ from oracles import (
 PAIRWISE_SIZES = (2, 130, 256, 1000, 1024)
 GAMMAS = (1e-6, 0.1, 100.0, 1000.0)
 TAUS = (1e-3, 0.5)
+ZETAS = (-1.0, 0.6, 1.0)
 
 
 def random_embeddings(rng, n_samples, dim):
@@ -495,3 +499,68 @@ class TestCountPositivePairs:
         # row argmax sits at the entry minimizing |s| (lowest index on ties)
         off = np.abs(s) + np.where(np.eye(2 * n, dtype=bool), np.inf, 0.0)
         np.testing.assert_array_equal(np.argmax(w, axis=1), np.argmin(off, axis=1))
+
+
+class TestStageObjectives:
+    @pytest.mark.parametrize("zeta", ZETAS)
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_instance_objective_bit_identical_to_per_matrix_functions(self, n2, tau, zeta):
+        z, s = pairwise_inputs(n2)
+        loss, d_s, pairs = instance_objective(z, tau, zeta)
+        ref_loss, ref_d_s = init_instance_loss(s, tau)
+        assert loss == ref_loss
+        assert np.array_equal(d_s, ref_d_s)
+        assert pairs == count_positive_pairs(positive_mask(s, zeta))
+
+    @pytest.mark.parametrize("zeta", ZETAS)
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_c3_objective_bit_identical_to_per_matrix_functions(self, n2, gamma, zeta):
+        z, s = pairwise_inputs(n2)
+        loss, d_s, pairs = c3_objective(z, zeta, gamma)
+        mask = positive_mask(s, zeta)
+        ref_loss, ref_d_s = c3_loss(s, mask, compute_weights(s, gamma))
+        assert loss == ref_loss
+        assert np.array_equal(d_s, ref_d_s)
+        assert pairs == count_positive_pairs(mask)
+
+    @pytest.mark.parametrize(
+        "objective, args",
+        [(instance_objective, (0.5, 0.6)), (c3_objective, (0.6, 0.1))],
+        ids=["instance", "c3"],
+    )
+    def test_peak_memory_is_one_pairwise_buffer(self, objective, args):
+        # the gradient overwrites s, and masks and weights live one row block
+        # at a time: the parent's per-matrix path held three to four buffers
+        n2 = 1024
+        z, _ = pairwise_inputs(n2)
+        tracemalloc.start()
+        try:
+            _, d_s, _ = objective(z, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d_s.shape == (n2, n2)
+        assert peak <= 1.25 * n2 * n2 * 8
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda z: instance_objective(z, 0.0, 0.6), "tau_I"),
+            (lambda z: instance_objective(z, 0.5, 1.5), "zeta"),
+            (lambda z: c3_objective(z, -1.5, 0.1), "zeta"),
+            (lambda z: c3_objective(z, 0.6, 0.0), "gamma"),
+        ],
+        ids=["tau", "instance-zeta", "c3-zeta", "gamma"],
+    )
+    def test_invalid_hyperparameters_rejected(self, call, field):
+        z, _ = pairwise_inputs(4)
+        with pytest.raises(ConfigError, match=field):
+            call(z)
+
+    @pytest.mark.parametrize("objective", [instance_objective, c3_objective])
+    def test_non_unit_embeddings_rejected(self, objective):
+        z, _ = pairwise_inputs(4)
+        with pytest.raises(ContractViolationError, match="unit rows"):
+            objective(2.0 * z, 0.5, 0.5)

@@ -1,10 +1,16 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crossclust.augment import AugmentConfig, augment_batch
 from crossclust.config import DimsSpec, TrainConfig
-from crossclust.data import generate_blobs
-from crossclust.errors import ConfigError, DegenerateRowError, NonFiniteError
+from crossclust.data import Dataset, generate_blobs
+from crossclust.errors import ConfigError, CrossclustError, DegenerateRowError, NonFiniteError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
 from crossclust.model import ModelDims, backward, forward, grad_check, init_params
@@ -109,23 +115,78 @@ class TestTrainC3:
 
 class TestNonFiniteAbort:
     @pytest.mark.parametrize(
-        "loss_name, stage, epoch", [("init_instance_loss", "init", 1), ("c3_loss", "c3", 0)]
+        "objective, stage, epoch", [("instance_objective", "init", 1), ("c3_objective", "c3", 0)]
     )
     def test_non_finite_loss_names_stage_epoch_batch(
-        self, small_data, monkeypatch, loss_name, stage, epoch
+        self, small_data, monkeypatch, objective, stage, epoch
     ):
         import crossclust.trainer as trainer
 
-        real = getattr(trainer, loss_name)
+        real = getattr(trainer, objective)
 
         def poisoned(*args):
-            _, grad = real(*args)
-            return float("nan"), grad
+            _, d_s, pairs = real(*args)
+            return float("nan"), d_s, pairs
 
-        monkeypatch.setattr(trainer, loss_name, poisoned)
+        monkeypatch.setattr(trainer, objective, poisoned)
         cfg = SMALL_CFG.override(init_epochs=1 if stage == "init" else 0)
         with pytest.raises(NonFiniteError, match=rf"stage '{stage}' at epoch {epoch}, batch 0"):
             train(cfg, small_data)
+
+
+class TestStepMemory:
+    def test_c3_stage_holds_one_pairwise_buffer_at_batch_512(self):
+        # one 1024 x 1024 float64 buffer is 8 MiB; keeping the mask, the
+        # weights, a separate gradient or the previous step's s alive as well
+        # would pass 16 MiB
+        data = generate_blobs(seed=1, n=2000, d=32, clusters=5, separation=6.0, sigma=1.0)
+        cfg = TrainConfig(M=5, init_epochs=0, c3_epochs=1, batch_size=512, seed=1)
+        params, _ = train_init(cfg, data)
+        tracemalloc.start()
+        try:
+            _, records = train_c3(params, cfg, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2
+        assert peak < 16 * 2**20
+
+
+@st.composite
+def validated_runs(draw):
+    """A validated config with one epoch per stage and a small finite dataset."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([2, 3]))
+    cfg = TrainConfig(
+        M=m,
+        zeta=draw(st.floats(-1.0, 1.0)),
+        gamma=10.0 ** draw(st.floats(-3.0, 3.0)),
+        init_epochs=1,
+        c3_epochs=1,
+        batch_size=draw(st.sampled_from(sorted({b for b in (2, n // 2, n) if b >= 2}))),
+        seed=draw(st.integers(0, 2**16)),
+        dims=DimsSpec(hidden=(draw(st.integers(8, 32)),), z_dim=draw(st.integers(1, 4))),
+        augment=AugmentConfig(mask_rate=draw(st.floats(0.0, 0.99))),
+    ).validate()
+    x = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
+    truth = Partition(draw(arrays(np.int64, n, elements=st.integers(0, m - 1))), m)
+    return cfg, Dataset(X=x, truth=truth)
+
+
+class TestValidatedConfigs:
+    @given(validated_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_train_finishes_or_raises_crossclust_error(self, run):
+        cfg, data = run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                _, history = train(cfg, data)
+            except CrossclustError:
+                return
+        assert len(history.records) == cfg.init_epochs + cfg.c3_epochs + 1
+        assert all(np.isfinite(r.mean_loss) for r in history.records)
 
 
 class TestDegenerateEmbedding:
