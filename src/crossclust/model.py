@@ -235,35 +235,41 @@ def _chain_backward(layers, grads, pres, x, d_out, relu_last: bool = False):
 def backward(params: ModelParams, cache: ForwardCache, grad_z, grad_c) -> ModelParams:
     """Parameter gradients for upstream gradients w.r.t. z and c.
 
-    Either gradient may be zero (stage-dependent).  The z path includes the
-    row-normalization Jacobian, the c path the softmax Jacobian.  Every block
-    is written into one fresh flat vector.
+    The z path includes the row-normalization Jacobian, the c path the softmax
+    Jacobian.  ``grad_c=None`` means the loss does not depend on c: the cluster
+    head is not backpropagated, its gradient blocks are exact zeros and the
+    encoder receives the instance head's gradient alone.  Every block is
+    written into one fresh flat vector.
     """
     grad_z = np.asarray(grad_z, dtype=np.float64)
-    grad_c = np.asarray(grad_c, dtype=np.float64)
     if grad_z.shape != cache.z.shape:
         raise ShapeError(f"grad_z shape {grad_z.shape} != z shape {cache.z.shape}")
-    if grad_c.shape != cache.c.shape:
-        raise ShapeError(f"grad_c shape {grad_c.shape} != c shape {cache.c.shape}")
+    if grad_c is not None:
+        grad_c = np.asarray(grad_c, dtype=np.float64)
+        if grad_c.shape != cache.c.shape:
+            raise ShapeError(f"grad_c shape {grad_c.shape} != c shape {cache.c.shape}")
 
     # z = y / ||y||  =>  dL/dy = (g - (g . z) z) / ||y||
     zdot = (grad_z * cache.z).sum(axis=1, keepdims=True)
     d_yz = (grad_z - zdot * cache.z) / cache.z_norms[:, None]
     grads = replace(params, flat=np.empty_like(params.flat))
-    dh_i = _chain_backward(
+    dh = _chain_backward(
         params.instance_head, grads.instance_head, cache.instance_pre, cache.h, d_yz
     )
 
-    # c = softmax(y)  =>  dL/dy = c * (g - sum(g * c))
-    cdot = (grad_c * cache.c).sum(axis=1, keepdims=True)
-    d_yc = cache.c * (grad_c - cdot)
-    dh_c = _chain_backward(
-        params.cluster_head, grads.cluster_head, cache.cluster_pre, cache.h, d_yc
-    )
+    if grad_c is None:
+        for layer in grads.cluster_head:
+            layer.weight[...] = 0.0
+            layer.bias[...] = 0.0
+    else:
+        # c = softmax(y)  =>  dL/dy = c * (g - sum(g * c))
+        cdot = (grad_c * cache.c).sum(axis=1, keepdims=True)
+        d_yc = cache.c * (grad_c - cdot)
+        dh = dh + _chain_backward(
+            params.cluster_head, grads.cluster_head, cache.cluster_pre, cache.h, d_yc
+        )
 
-    _chain_backward(
-        params.encoder, grads.encoder, cache.encoder_pre, cache.x, dh_i + dh_c, relu_last=True
-    )
+    _chain_backward(params.encoder, grads.encoder, cache.encoder_pre, cache.x, dh, relu_last=True)
     return grads
 
 

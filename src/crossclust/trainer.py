@@ -1,9 +1,11 @@
 """Two-stage training orchestration.
 
-Stage "init" trains encoder and both heads with the paired instance-level
-and cluster-level contrastive objectives.  Stage "c3" refines the embedding
-space with the weighted cross-instance loss; only the encoder and instance
-head receive gradients there (the loss depends on z alone), though cluster
+Both stages run the same epoch loop (:func:`_run_epoch`): batch, augment,
+one stacked forward, the stage objective, backward and an Adam step.  Stage
+"init" trains encoder and both heads with the paired instance-level and
+cluster-level contrastive objectives.  Stage "c3" refines the embedding space
+with the weighted cross-instance loss, which depends on z alone: the cluster
+head is not backpropagated and keeps its weights bit for bit, though cluster
 predictions still move because the shared features move.
 
 Randomness is derived positionally from the master seed: every epoch owns
@@ -120,21 +122,6 @@ def _model_dims(config: TrainConfig, data: Dataset) -> ModelDims:
     )
 
 
-def _check_batching(config: TrainConfig, data: Dataset) -> None:
-    if data.n < config.batch_size:
-        raise ConfigError(
-            "batch_size",
-            f"batch_size {config.batch_size} exceeds dataset size {data.n}",
-        )
-
-
-def _abort_diagnostic(stage, epoch, batch, parts):
-    detail = ", ".join(f"{k}={v!r}" for k, v in parts.items())
-    return NonFiniteError(
-        f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {batch}: {detail}"
-    )
-
-
 def _batch_forward(params, x_a, x_b, stage, epoch, batch, idx):
     """``forward`` on both views stacked.  A zero-norm instance embedding is
     re-raised naming the stage, epoch, batch, view and dataset row."""
@@ -170,16 +157,71 @@ def evaluate(params: ModelParams, data: Dataset) -> dict:
     return out
 
 
-def _record(stage, epoch, mean_loss, pairs, metrics) -> EpochRecord:
-    return EpochRecord(
-        stage=stage,
-        epoch=epoch,
-        mean_loss=mean_loss,
-        avg_positive_pairs=pairs,
-        acc=metrics.get("acc"),
-        nmi=metrics.get("nmi"),
-        ari=metrics.get("ari"),
-    )
+def _cluster_objective(c, n, tau_c, epoch, batch):
+    """``init_cluster_loss`` on the stacked views' assignments.  A zero-norm
+    cluster column is re-raised naming the stage, epoch, batch, view and cluster."""
+    try:
+        return init_cluster_loss(c[:n], c[n:], tau_c)
+    except DegenerateRowError as exc:
+        m = c.shape[1]
+        raise DegenerateRowError(
+            exc.row,
+            f"zero-norm cluster column in stage '{STAGE_INIT}' at epoch {epoch}, "
+            f"batch {batch}: view {'ab'[exc.row // m]}, cluster {exc.row % m}",
+        ) from None
+
+
+def _run_epoch(stage, params, state, config, data, seed, epoch):
+    """One pass over the stage's shuffled batches; params are updated only when
+    an Adam state is given.  Returns (params, state, mean loss, mean positive pairs)."""
+    losses, pairs = [], []
+    for b, idx in _epoch_batches(seed, stage, epoch, data.n, config.batch_size):
+        key = _batch_key(seed, stage, epoch, b)
+        x_a, x_b = augment_batch(config.augment, data.X[idx], key, row_keys=idx)
+        cache = _batch_forward(params, x_a, x_b, stage, epoch, b, idx)
+        if stage == STAGE_INIT:
+            loss_inst, d_s, count = instance_objective(cache.z, config.tau_I, config.zeta)
+            loss_clu, d_ca, d_cb = _cluster_objective(cache.c, len(idx), config.tau_C, epoch, b)
+            loss, parts = loss_inst + loss_clu, {"instance": loss_inst, "cluster": loss_clu}
+            d_c, lr = np.vstack([d_ca, d_cb]), config.init_lr
+        else:
+            loss, d_s, count = c3_objective(cache.z, config.zeta, config.gamma)
+            parts, d_c, lr = {"c3": loss}, None, config.c3_lr
+        if not np.isfinite(loss):
+            detail = ", ".join(f"{k}={v!r}" for k, v in parts.items())
+            raise NonFiniteError(
+                f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {b}: {detail}"
+            )
+        d_z = chain_to_embeddings(d_s, cache.z) if state is not None else None
+        del d_s  # the step's one 2N x 2N buffer: none is alive in backward
+        if state is not None:
+            grads = backward(params, cache, d_z, d_c)
+            params, state = adam_step(params, grads, state, lr=lr)
+        losses.append(loss)
+        pairs.append(count)
+    return params, state, float(np.mean(losses)), float(np.mean(pairs))
+
+
+def _run_stage(stage, params, config, data, seed, epochs):
+    """Epochs 1..epochs from fresh Adam moments, each followed by evaluation on
+    labeled data; stage c3 first records an evaluation-only epoch 0."""
+    if epochs == 0:
+        return params, []
+    if data.n < config.batch_size:
+        message = f"batch_size {config.batch_size} exceeds dataset size {data.n}"
+        raise ConfigError("batch_size", message)
+    records = []
+    state = None
+    for epoch in range(0 if stage == STAGE_C3 else 1, epochs + 1):
+        if epoch == 1:
+            state = AdamState.zeros(params)
+        params, state, mean_loss, pairs = _run_epoch(
+            stage, params, state, config, data, seed, epoch
+        )
+        metrics = evaluate(params, data) if data.truth is not None else {}
+        scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
+        records.append(EpochRecord(stage, epoch, mean_loss, pairs, **scores))
+    return params, records
 
 
 def train_init(
@@ -188,63 +230,8 @@ def train_init(
     """Initialization stage: instance + cluster contrastive losses, summed."""
     config.validate()
     seed = _seed_of(config, seed)
-    dims = _model_dims(config, data)
-    params = init_params(_stream(seed, "params"), dims)
-    if config.init_epochs == 0:
-        return params, []
-    _check_batching(config, data)
-    state = AdamState.zeros(params)
-    records = []
-    x = data.X
-    for epoch in range(1, config.init_epochs + 1):
-        losses = []
-        pairs = []
-        for b, idx in _epoch_batches(seed, STAGE_INIT, epoch, data.n, config.batch_size):
-            key = _batch_key(seed, STAGE_INIT, epoch, b)
-            x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
-            cache = _batch_forward(params, x_a, x_b, STAGE_INIT, epoch, b, idx)
-            n = len(idx)
-            loss_inst, d_s, count = instance_objective(cache.z, config.tau_I, config.zeta)
-            loss_clu, d_ca, d_cb = init_cluster_loss(cache.c[:n], cache.c[n:], config.tau_C)
-            loss = loss_inst + loss_clu
-            if not np.isfinite(loss):
-                raise _abort_diagnostic(
-                    STAGE_INIT, epoch, b, {"instance": loss_inst, "cluster": loss_clu}
-                )
-            d_z = chain_to_embeddings(d_s, cache.z)
-            del d_s  # the step's one 2N x 2N buffer: none is alive in backward
-            grads = backward(params, cache, d_z, np.vstack([d_ca, d_cb]))
-            params, state = adam_step(params, grads, state, lr=config.init_lr)
-            losses.append(loss)
-            pairs.append(count)
-        metrics = evaluate(params, data) if data.truth is not None else {}
-        records.append(
-            _record(STAGE_INIT, epoch, float(np.mean(losses)), float(np.mean(pairs)), metrics)
-        )
-    return params, records
-
-
-def _c3_pass(params, config, data, seed, epoch, state):
-    """One pass over the shuffled batches; updates params only when state is given."""
-    update = state is not None
-    losses = []
-    pairs = []
-    x = data.X
-    for b, idx in _epoch_batches(seed, STAGE_C3, epoch, data.n, config.batch_size):
-        key = _batch_key(seed, STAGE_C3, epoch, b)
-        x_a, x_b = augment_batch(config.augment, x[idx], key, row_keys=idx)
-        cache = _batch_forward(params, x_a, x_b, STAGE_C3, epoch, b, idx)
-        loss, d_s, count = c3_objective(cache.z, config.zeta, config.gamma)
-        if not np.isfinite(loss):
-            raise _abort_diagnostic(STAGE_C3, epoch, b, {"c3": loss})
-        losses.append(loss)
-        pairs.append(count)
-        d_z = chain_to_embeddings(d_s, cache.z) if update else None
-        del d_s  # the step's one 2N x 2N buffer: none is alive in backward
-        if update:
-            grads = backward(params, cache, d_z, np.zeros_like(cache.c))
-            params, state = adam_step(params, grads, state, lr=config.c3_lr)
-    return params, state, float(np.mean(losses)), float(np.mean(pairs))
+    params = init_params(_stream(seed, "params"), _model_dims(config, data))
+    return _run_stage(STAGE_INIT, params, config, data, seed, config.init_epochs)
 
 
 def train_c3(
@@ -253,20 +240,7 @@ def train_c3(
     """Refinement stage.  Epoch 0 is an evaluation-only pass over the
     initialized model; epochs 1..c3_epochs update encoder and instance head."""
     config.validate()
-    seed = _seed_of(config, seed)
-    if config.c3_epochs == 0:
-        return params, []
-    _check_batching(config, data)
-    records = []
-    metrics0 = evaluate(params, data) if data.truth is not None else {}
-    _, _, loss0, pairs0 = _c3_pass(params, config, data, seed, 0, state=None)
-    records.append(_record(STAGE_C3, 0, loss0, pairs0, metrics0))
-    state = AdamState.zeros(params)
-    for epoch in range(1, config.c3_epochs + 1):
-        params, state, mean_loss, mean_pairs = _c3_pass(params, config, data, seed, epoch, state)
-        metrics = evaluate(params, data) if data.truth is not None else {}
-        records.append(_record(STAGE_C3, epoch, mean_loss, mean_pairs, metrics))
-    return params, records
+    return _run_stage(STAGE_C3, params, config, data, _seed_of(config, seed), config.c3_epochs)
 
 
 def train(config: TrainConfig, data: Dataset, seed=None) -> tuple[ModelParams, RunHistory]:

@@ -211,6 +211,19 @@ class TestBackward:
             np.testing.assert_array_equal(layer.bias, 0.0)
         assert any(np.abs(l.weight).sum() > 0 for l in grads.encoder)
 
+    def test_no_cluster_loss_equals_zero_cluster_gradient(self):
+        # grad_c=None skips the cluster head; training's c3 steps rely on it
+        # giving the same encoder and instance-head gradients as a zero grad_c
+        rng = np.random.default_rng(12)
+        p = init_params(13, SMALL_DIMS)
+        cache = forward(p, rng.normal(size=(6, 6)))
+        g_z = rng.normal(size=cache.z.shape)
+        skipped = backward(p, cache, g_z, None)
+        zeroed = backward(p, cache, g_z, np.zeros_like(cache.c))
+        np.testing.assert_array_equal(skipped.flat, zeroed.flat)
+        for layer in skipped.cluster_head:
+            assert not layer.weight.any() and not layer.bias.any()
+
     def test_shape_mismatch_rejected(self):
         p = init_params(0, SMALL_DIMS)
         cache = forward(p, np.ones((2, 6)))

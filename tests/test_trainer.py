@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -84,6 +85,15 @@ class TestTrainC3:
         assert records == []
         assert params_equal(params, refined)
 
+    def test_cluster_head_left_bit_for_bit_unchanged(self, small_data):
+        # the c3 loss depends on z alone, so the cluster head is never stepped
+        params, _ = train_init(SMALL_CFG, small_data)
+        refined, _ = train_c3(params, SMALL_CFG, small_data)
+        for before, after in zip(params.cluster_head, refined.cluster_head):
+            assert before.weight.tobytes() == after.weight.tobytes()
+            assert before.bias.tobytes() == after.bias.tobytes()
+        assert not np.array_equal(params.encoder[0].weight, refined.encoder[0].weight)
+
     def test_record_count_includes_epoch_zero(self, small_data):
         params, _ = train_init(SMALL_CFG, small_data)
         _, records = train_c3(params, SMALL_CFG, small_data)
@@ -111,6 +121,23 @@ class TestTrainC3:
         grid = [-1.0, 0.0, 0.4, 0.6, 0.9, 1.0]
         counts = [positive_mask(sim, z).sum() for z in grid]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+class TestStageEntryPoints:
+    def test_train_runs_each_stage_through_the_module_globals(self, small_data, monkeypatch):
+        # stage timers (benchmarks/layers.py) rebind exactly these two names
+        import crossclust.trainer as trainer
+
+        calls = []
+        for name in ("train_init", "train_c3"):
+
+            def counting(*args, _real=getattr(trainer, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(trainer, name, counting)
+        train(SMALL_CFG, small_data)
+        assert calls == ["train_init", "train_c3"]
 
 
 class TestNonFiniteAbort:
@@ -226,6 +253,34 @@ class TestDegenerateEmbedding:
         np.testing.assert_array_equal(views[view][list(idx).index(exc.value.row)], 0.0)
 
 
+    def test_zero_norm_cluster_column_names_stage_epoch_batch_view_and_cluster(self):
+        # raw inputs far from unit scale saturate the cluster softmax, so the
+        # norm of a view's whole assignment column underflows to zero
+        import crossclust.trainer as trainer
+
+        cfg = TrainConfig(
+            M=2, init_epochs=1, c3_epochs=1, batch_size=8, seed=154,
+            dims=DimsSpec(hidden=(8,), z_dim=2),
+        )
+        data = Dataset(X=np.random.default_rng(154).uniform(-1e3, 1e3, (16, 2)))
+        pattern = (
+            r"zero-norm cluster column in stage 'init' at epoch 1, batch 0: "
+            r"view ([ab]), cluster (\d+)"
+        )
+        with pytest.raises(DegenerateRowError, match=f"^{pattern}$") as exc:
+            train(cfg, data)
+        view, cluster = re.fullmatch(pattern, str(exc.value)).groups()
+        assert exc.value.row == "ab".index(view) * cfg.M + int(cluster)
+        # the named column's norm underflows to zero in batch 0's stacked pass
+        dims = trainer._model_dims(cfg, data)
+        params = init_params(trainer._stream(cfg.seed, "params"), dims)
+        _, idx = next(trainer._epoch_batches(cfg.seed, "init", 1, data.n, cfg.batch_size))
+        key = trainer._batch_key(cfg.seed, "init", 1, 0)
+        x_a, x_b = augment_batch(cfg.augment, data.X[idx], key, row_keys=idx)
+        c = forward(params, np.vstack([x_a, x_b])).c.reshape(2, len(idx), cfg.M)
+        assert np.linalg.norm(c["ab".index(view), :, int(cluster)]) == 0.0
+
+
 class TestWeightFreezing:
     def test_implemented_gradient_treats_weights_as_constants(self, small_data):
         """The per-step objective freezes mask and weights; its finite
@@ -242,7 +297,7 @@ class TestWeightFreezing:
             cache = forward(p, x)
             loss, d_s = c3_loss(similarity_matrix(cache.z), mask0, w0)
             d_z = chain_to_embeddings(d_s, cache.z)
-            return loss, backward(p, cache, d_z, np.zeros_like(cache.c))
+            return loss, backward(p, cache, d_z, None)
 
         assert grad_check(params, frozen_loss, eps=1e-5, max_coords=300, seed=1) <= 1e-4
 
