@@ -45,7 +45,6 @@ from .model import (
 from .numerics import entropy, row_l2_normalize, similarity_matrix
 from .trainer import (
     EpochRecord,
-    RunHistory,
     evaluate,
     predict,
     read_history,

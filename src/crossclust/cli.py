@@ -17,13 +17,11 @@ from pathlib import Path
 
 from .config import TrainConfig, load_config
 from .data import generate_blobs, load_csv, save_csv, standardize
-from .errors import CrossclustError
+from .errors import ConfigError, CrossclustError
 from .model import load_checkpoint, save_checkpoint
 from .trainer import evaluate, read_history, train, write_history
 
 ENV_OUT_ROOT = "CROSSCLUST_OUT"
-
-SWEEP_RANGES = {"zeta": (-1.0, 1.0), "gamma": (1e-12, float("inf"))}
 
 
 def _out_root() -> Path:
@@ -72,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--label-column", default=None)
 
     sw = sub.add_parser("sweep", help="grid of train runs over zeta or gamma")
-    sw.add_argument("--param", choices=sorted(SWEEP_RANGES), required=True)
+    sw.add_argument("--param", choices=("gamma", "zeta"), required=True)
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.add_argument("--seeds", required=True, help="comma-separated seeds")
     sw.add_argument("--config", type=Path, default=None)
@@ -112,18 +110,18 @@ def _run_training(config: TrainConfig, data_path, label_column, out_dir: Path) -
     dataset = standardize(load_csv(data_path, label_column=label_column))
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    params, history = train(config, dataset)
+    params, records = train(config, dataset)
     wall = time.monotonic() - started
     checkpoint = out_dir / "checkpoint.json"
     history_path = out_dir / "history.jsonl"
     save_checkpoint(params, checkpoint)
-    write_history(history.records, history_path)
+    write_history(records, history_path)
     final = evaluate(params, dataset)
     summary = {
         "config": config.to_dict(),
         "data": str(data_path),
         "final": final,
-        "epochs_recorded": len(history.records),
+        "epochs_recorded": len(records),
         "checkpoint": checkpoint.name,
         "history": history_path.name,
         "wall_time_s": wall,
@@ -168,29 +166,31 @@ def cmd_eval(args, parser) -> int:
     return 0
 
 
-def _sweep_job(payload: dict) -> dict:
-    """One (value, seed) training run; returns an aggregate row.  Top level so
-    it pickles for process pools."""
-    out_dir = Path(payload["out_dir"])
-    try:
-        config = TrainConfig(**payload["config_kwargs"])
-        config = config.override(**{payload["param"]: payload["value"], "seed": payload["seed"]})
-        _run_training(config, payload["data"], payload["label_column"], out_dir)
-        status = "ok"
-        message = ""
-    except Exception as exc:  # per-run isolation: a bad run must not kill the sweep
-        status = "failed"
-        message = f"{type(exc).__name__}: {exc}"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "error.txt").write_text(message + "\n", encoding="utf-8")
+def _status_row(job: dict, status: str = "ok", message: str = "") -> dict:
+    """The status row of a sweep job that ran or that --resume skipped."""
+    config = job["config"]
     return {
-        "param": payload["param"],
-        "value": payload["value"],
-        "seed": payload["seed"],
+        "param": job["param"],
+        "value": getattr(config, job["param"]),
+        "seed": config.seed,
         "status": status,
         "message": message,
-        "run_dir": str(out_dir),
+        "run_dir": str(job["run_dir"]),
     }
+
+
+def _sweep_job(job: dict) -> dict:
+    """One (value, seed) training run; returns its status row.  Top level so
+    it pickles for process pools."""
+    run_dir = job["run_dir"]
+    try:
+        _run_training(job["config"], job["data"], job["label_column"], run_dir)
+    except Exception as exc:  # per-run isolation: a bad run must not kill the sweep
+        message = f"{type(exc).__name__}: {exc}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "error.txt").write_text(message + "\n", encoding="utf-8")
+        return _status_row(job, "failed", message)
+    return _status_row(job)
 
 
 def _aggregate_row(base: dict) -> dict:
@@ -266,57 +266,41 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--values and --seeds must be comma-separated numbers")
     if not values or not seeds:
         parser.error("--values and --seeds must be non-empty")
-    lo, hi = SWEEP_RANGES[args.param]
-    bad = [v for v in values if not lo <= v <= hi]
-    if bad:
-        parser.error(f"--values out of range for {args.param}: {bad}")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     base_config = _load_train_config(args, parser)
+    try:  # sweep values obey the same ranges as train's flags
+        configs = [base_config.override(**{args.param: value}) for value in values]
+    except ConfigError as exc:
+        parser.error(f"--values: {exc}")
     out_dir = args.out or _out_root() / "sweep"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    payloads = []
+    jobs = []
     skipped = []
-    for value in values:
+    for value, config in zip(values, configs):
         for seed in seeds:
             run_dir = out_dir / f"{args.param}={value:g}" / f"seed={seed}"
-            config_kwargs = {
-                k: v for k, v in base_config.to_dict().items() if k not in ("dims", "augment")
-            }
-            config_kwargs["dims"] = base_config.dims
-            config_kwargs["augment"] = base_config.augment
-            payload = {
+            job = {
                 "param": args.param,
-                "value": value,
-                "seed": seed,
-                "config_kwargs": config_kwargs,
+                "config": config.override(seed=seed),
                 "data": str(args.data),
                 "label_column": args.label_column,
-                "out_dir": str(run_dir),
+                "run_dir": run_dir,
             }
             if args.resume and (run_dir / "summary.json").exists():
-                skipped.append(
-                    {
-                        "param": args.param,
-                        "value": value,
-                        "seed": seed,
-                        "status": "ok",
-                        "message": "",
-                        "run_dir": str(run_dir),
-                    }
-                )
+                skipped.append(_status_row(job))
             else:
-                payloads.append(payload)
+                jobs.append(job)
 
-    if args.jobs > 1 and len(payloads) > 1:
+    if args.jobs > 1 and len(jobs) > 1:
         # imported here: it loads multiprocessing, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_job, payloads))
+            results = list(pool.map(_sweep_job, jobs))
     else:
-        results = [_sweep_job(p) for p in payloads]
+        results = [_sweep_job(job) for job in jobs]
     for result in results:
         level = "done" if result["status"] == "ok" else "FAILED"
         _log(f"[{level}] {result['param']}={result['value']:g} seed={result['seed']}")

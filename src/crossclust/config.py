@@ -19,6 +19,18 @@ def _require_int(name: str, value) -> None:
         raise ConfigError(name, f"must be an integer, got {value!r}")
 
 
+def check_zeta(zeta: float) -> None:
+    """The positive threshold is a cosine: zeta must lie in [-1, 1]."""
+    if not -1.0 <= zeta <= 1.0:
+        raise ConfigError("zeta", f"must lie in [-1, 1], got {zeta}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Temperatures, the weight concentration and learning rates must be > 0."""
+    if not value > 0:
+        raise ConfigError(name, f"must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class DimsSpec:
     """Model shape: encoder hidden widths and embedding dimension.
@@ -61,22 +73,13 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.M < 2:
             raise ConfigError("M", f"cluster count must be >= 2, got {self.M}")
-        if not -1.0 <= self.zeta <= 1.0:
-            raise ConfigError("zeta", f"must lie in [-1, 1], got {self.zeta}")
-        if not self.gamma > 0:
-            raise ConfigError("gamma", f"must be positive, got {self.gamma}")
-        if not self.tau_I > 0:
-            raise ConfigError("tau_I", f"must be positive, got {self.tau_I}")
-        if not self.tau_C > 0:
-            raise ConfigError("tau_C", f"must be positive, got {self.tau_C}")
+        check_zeta(self.zeta)
+        for name in ("gamma", "tau_I", "tau_C", "init_lr", "c3_lr"):
+            check_positive(name, getattr(self, name))
         if self.init_epochs < 0:
             raise ConfigError("init_epochs", f"must be >= 0, got {self.init_epochs}")
         if self.c3_epochs < 0:
             raise ConfigError("c3_epochs", f"must be >= 0, got {self.c3_epochs}")
-        if not self.init_lr > 0:
-            raise ConfigError("init_lr", f"must be positive, got {self.init_lr}")
-        if not self.c3_lr > 0:
-            raise ConfigError("c3_lr", f"must be positive, got {self.c3_lr}")
         if self.batch_size < 2:
             raise ConfigError("batch_size", f"must be >= 2, got {self.batch_size}")
         if not isinstance(self.seed, int):

@@ -178,24 +178,31 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 if label_column not in header:
                     raise CsvFormatError(f"label column '{label_column}' not in header {header}")
                 label_idx = header.index(label_column)
-            dtype = np.dtype(
-                [(f"c{j}", object if j == label_idx else np.float64) for j in range(len(header))]
-            )
+            seen: dict[str, int] = {}  # label token -> cluster id, in order of first appearance
+            converters = {}
+            if label_idx is not None:
+                converters[label_idx] = lambda tok: seen.setdefault(tok, len(seen))
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
                     table = np.loadtxt(
-                        fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                        fh,
+                        dtype=np.float64,
+                        delimiter=",",
+                        quotechar='"',
+                        comments=None,
+                        ndmin=2,
+                        converters=converters,
                     )
             except ValueError:
                 # A ragged row or a bad cell; a decode error re-raises from the re-read.
                 raise _first_fault(path, len(header), label_idx) from None
-        if table.size == 0:
+        if table.shape[0] == 0:
             raise CsvFormatError(f"{path} has a header but no data rows")
+        if table.shape[1] != len(header):  # loadtxt takes its width from the first data row
+            raise _first_fault(path, len(header), label_idx)
         feature_idx = [j for j in range(len(header)) if j != label_idx]
-        x = np.empty((table.size, len(feature_idx)))
-        for k, j in enumerate(feature_idx):
-            x[:, k] = table[f"c{j}"]
+        x = table if label_idx is None else table.take(feature_idx, axis=1)
         finite = np.isfinite(x)
         if not finite.all():
             record, k = divmod(int(np.argmin(finite)), x.shape[1])
@@ -204,9 +211,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
     truth = None
     if label_idx is not None:
-        seen: dict[str, int] = {}
-        ids = [seen.setdefault(tok, len(seen)) for tok in table[f"c{label_idx}"]]
-        truth = Partition(np.asarray(ids, dtype=np.int64), len(seen))
+        truth = Partition(table[:, label_idx].astype(np.int64), len(seen))
     names = tuple(header[j] for j in feature_idx)
     return Dataset(X=x, truth=truth, feature_names=names)
 

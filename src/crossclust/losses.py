@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, DegenerateRowError, ShapeError
+from .config import check_positive, check_zeta
+from .errors import ContractViolationError, DegenerateRowError, ShapeError
 from .numerics import Matrix, row_softmax, similarity_matrix
 
 __all__ = [
@@ -72,21 +73,6 @@ def _check_square(s, name="similarity matrix", dtype=np.float64) -> Matrix:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"{name} must be square, got {s.shape}")
     return s
-
-
-def _check_zeta(zeta: float) -> None:
-    if not -1.0 <= zeta <= 1.0:
-        raise ConfigError("zeta", f"threshold must lie in [-1, 1], got {zeta}")
-
-
-def _check_gamma(gamma: float) -> None:
-    if not gamma > 0:
-        raise ConfigError("gamma", f"weight concentration must be positive, got {gamma}")
-
-
-def _check_tau_i(tau_i: float) -> None:
-    if not tau_i > 0:
-        raise ConfigError("tau_I", f"temperature must be positive, got {tau_i}")
 
 
 # Row-block kernels.  Each takes the rows ``s_rows`` of a similarity matrix,
@@ -159,7 +145,7 @@ def _instance_block(s_rows: Matrix, diag, twin_cols, tau_i: float, out: Matrix) 
 
 def positive_mask(s: Matrix, zeta: float) -> np.ndarray:
     """Boolean matrix of positives: s[i, j] >= zeta, self excluded, twin forced."""
-    _check_zeta(zeta)
+    check_zeta(zeta)
     s = _check_square(s)
     n2 = s.shape[0]
     return _positive_block(s, (np.arange(n2), np.arange(n2)), twin_indices(n2), zeta)
@@ -172,7 +158,7 @@ def compute_weights(s: Matrix, gamma: float) -> Matrix:
     computed from frozen similarities: callers must treat them as constants
     when differentiating.
     """
-    _check_gamma(gamma)
+    check_positive("gamma", gamma)
     s = _check_square(s)
     weights = np.empty(s.shape)
     for rows, diag in _row_blocks(s.shape[0]):
@@ -215,8 +201,8 @@ def c3_objective(z: Matrix, zeta: float, gamma: float) -> tuple[float, Matrix, f
     place: the returned gradient is s's own buffer.  As in ``c3_loss``, the
     weights are constants for the gradient.
     """
-    _check_zeta(zeta)
-    _check_gamma(gamma)
+    check_zeta(zeta)
+    check_positive("gamma", gamma)
     s = similarity_matrix(z)
     n2 = s.shape[0]
     twins = twin_indices(n2)
@@ -255,7 +241,7 @@ def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
     loss over 2N anchors and its analytic gradient w.r.t. ``s``; pull it back
     to the embeddings with :func:`chain_to_embeddings`.
     """
-    _check_tau_i(tau_i)
+    check_positive("tau_I", tau_i)
     s = _check_square(s)
     n2 = s.shape[0]
     twins = twin_indices(n2)
@@ -276,8 +262,8 @@ def instance_objective(z: Matrix, tau_i: float, zeta: float) -> tuple[float, Mat
     row block at a time and the gradient overwrites s in place: the returned
     gradient is s's own buffer.
     """
-    _check_tau_i(tau_i)
-    _check_zeta(zeta)
+    check_positive("tau_I", tau_i)
+    check_zeta(zeta)
     s = similarity_matrix(z)
     n2 = s.shape[0]
     twins = twin_indices(n2)
@@ -298,8 +284,7 @@ def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Ma
     column i of one view is the sole positive of column i of the other, and
     similarities are cosines of the (nonnegative) column profiles.
     """
-    if not tau_c > 0:
-        raise ConfigError("tau_C", f"temperature must be positive, got {tau_c}")
+    check_positive("tau_C", tau_c)
     c_a = np.asarray(c_a, dtype=np.float64)
     c_b = np.asarray(c_b, dtype=np.float64)
     if c_a.shape != c_b.shape or c_a.ndim != 2:
@@ -315,8 +300,10 @@ def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Ma
     cols = np.vstack([c_a.T, c_b.T])  # 2M rows, one per cluster column
     norms = np.linalg.norm(cols, axis=1)
     zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateRowError(int(zero[0]), f"cluster column {int(zero[0])} is all-zero")
+    if zero.size:  # entries below about 1e-154 square to 0, so the column may be nonzero
+        k = int(zero[0])
+        message = f"cluster column {k} has zero norm (largest entry {cols[k].max():.3g})"
+        raise DegenerateRowError(k, message)
     unit = cols / norms[:, None]
 
     contrastive, d_s = init_instance_loss(unit @ unit.T, tau_c)

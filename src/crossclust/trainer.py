@@ -17,7 +17,7 @@ evaluation pass never perturbs later draws.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +60,6 @@ class EpochRecord:
         return out
 
 
-@dataclass
-class RunHistory:
-    config: dict
-    records: list[EpochRecord] = field(default_factory=list)
-
-
 def write_history(records, path) -> None:
     """Serialize records as JSON lines, one EpochRecord per line."""
     lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
@@ -86,10 +80,6 @@ def read_history(path) -> list[EpochRecord]:
         except (ValueError, TypeError) as exc:
             raise CsvFormatError(f"malformed history line: {exc}", row=line_no) from None
     return records
-
-
-def _seed_of(config: TrainConfig, seed) -> int:
-    return config.seed if seed is None else int(seed)
 
 
 def _stream(seed: int, stage: str, *key: int) -> np.random.SeedSequence:
@@ -202,7 +192,7 @@ def _run_epoch(stage, params, state, config, data, seed, epoch):
     return params, state, float(np.mean(losses)), float(np.mean(pairs))
 
 
-def _run_stage(stage, params, config, data, seed, epochs):
+def _run_stage(stage, params, config, data, epochs):
     """Epochs 1..epochs from fresh Adam moments, each followed by evaluation on
     labeled data; stage c3 first records an evaluation-only epoch 0."""
     if epochs == 0:
@@ -216,7 +206,7 @@ def _run_stage(stage, params, config, data, seed, epochs):
         if epoch == 1:
             state = AdamState.zeros(params)
         params, state, mean_loss, pairs = _run_epoch(
-            stage, params, state, config, data, seed, epoch
+            stage, params, state, config, data, config.seed, epoch
         )
         metrics = evaluate(params, data) if data.truth is not None else {}
         scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
@@ -224,29 +214,29 @@ def _run_stage(stage, params, config, data, seed, epochs):
     return params, records
 
 
-def train_init(
-    config: TrainConfig, data: Dataset, seed=None
-) -> tuple[ModelParams, list[EpochRecord]]:
+def train_init(config: TrainConfig, data: Dataset) -> tuple[ModelParams, list[EpochRecord]]:
     """Initialization stage: instance + cluster contrastive losses, summed."""
     config.validate()
-    seed = _seed_of(config, seed)
-    params = init_params(_stream(seed, "params"), _model_dims(config, data))
-    return _run_stage(STAGE_INIT, params, config, data, seed, config.init_epochs)
+    params = init_params(_stream(config.seed, "params"), _model_dims(config, data))
+    return _run_stage(STAGE_INIT, params, config, data, config.init_epochs)
 
 
 def train_c3(
-    params: ModelParams, config: TrainConfig, data: Dataset, seed=None
+    params: ModelParams, config: TrainConfig, data: Dataset
 ) -> tuple[ModelParams, list[EpochRecord]]:
     """Refinement stage.  Epoch 0 is an evaluation-only pass over the
     initialized model; epochs 1..c3_epochs update encoder and instance head."""
     config.validate()
-    return _run_stage(STAGE_C3, params, config, data, _seed_of(config, seed), config.c3_epochs)
+    return _run_stage(STAGE_C3, params, config, data, config.c3_epochs)
 
 
-def train(config: TrainConfig, data: Dataset, seed=None) -> tuple[ModelParams, RunHistory]:
-    """Full two-stage run; history holds init records then c3 records."""
+def train(config: TrainConfig, data: Dataset) -> tuple[ModelParams, list[EpochRecord]]:
+    """Full two-stage run, seeded by ``config.seed``.
+
+    Returns the trained parameters and the epoch records: init epochs
+    1..init_epochs, then c3 epochs 0..c3_epochs (none when c3_epochs is 0).
+    """
     config.validate()
-    params, init_records = train_init(config, data, seed)
-    params, c3_records = train_c3(params, config, data, seed)
-    history = RunHistory(config=config.to_dict(), records=init_records + c3_records)
-    return params, history
+    params, init_records = train_init(config, data)
+    params, c3_records = train_c3(params, config, data)
+    return params, init_records + c3_records

@@ -400,19 +400,42 @@ class TestSweep:
             outputs[name] = rows
         assert outputs["seq"] == outputs["par"]
 
-    def test_out_of_range_values_are_usage_errors(self, tmp_path, blobs_csv):
+    @pytest.mark.parametrize(
+        "param, values",
+        [("zeta", ["--values", "1.5"]), ("gamma", ["--values", "0"]), ("gamma", ["--values=-1"])],
+    )
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, blobs_csv, param, values):
         with pytest.raises(SystemExit) as exc:
             main(
                 [
                     "sweep",
-                    "--param", "zeta",
-                    "--values", "1.5",
+                    "--param", param,
+                    *values,
                     "--seeds", "0",
                     "--data", str(blobs_csv),
                     "--out", str(tmp_path / "s"),
                 ]
             )
         assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_values_obey_the_ranges_of_train(self, tmp_path, blobs_csv):
+        # any positive gamma trains, as with `train --gamma`
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep",
+                "--param", "gamma",
+                "--values", "1e-13",
+                "--seeds", "0",
+                "--data", str(blobs_csv),
+                "--label-column", "label",
+                "--out", str(out),
+                *FAST_SWEEP,
+            ]
+        )
+        assert code == 0
+        assert (out / "gamma=1e-13" / "seed=0" / "summary.json").exists()
 
     def test_failed_run_recorded_but_aggregate_emitted(self, tmp_path, blobs_csv, monkeypatch):
         import crossclust.cli as cli_mod

@@ -451,6 +451,15 @@ class TestInitClusterLoss:
         with pytest.raises(DegenerateRowError):
             init_cluster_loss(c, c, 1.0)
 
+    def test_underflowing_column_norm_is_not_called_all_zero(self):
+        # entries of 1e-200 square to 0, so column 1's norm is 0 though it is not
+        c_a = np.array([[1.0, 1e-200]] * 4)
+        c_b = np.full((4, 2), 0.5)
+        message = r"column 1 has zero norm \(largest entry 1e-200\)"
+        with pytest.raises(DegenerateRowError, match=message) as exc:
+            init_cluster_loss(c_a, c_b, 1.0)
+        assert exc.value.row == 1
+
 
 class TestCountPositivePairs:
     def test_twin_only_is_one(self):
@@ -551,13 +560,15 @@ class TestStageObjectives:
             (lambda z: instance_objective(z, 0.5, 1.5), "zeta"),
             (lambda z: c3_objective(z, -1.5, 0.1), "zeta"),
             (lambda z: c3_objective(z, 0.6, 0.0), "gamma"),
+            (lambda z: init_cluster_loss(np.full((4, 2), 0.5), np.full((4, 2), 0.5), 0.0), "tau_C"),
         ],
-        ids=["tau", "instance-zeta", "c3-zeta", "gamma"],
+        ids=["tau", "instance-zeta", "c3-zeta", "gamma", "cluster-tau"],
     )
     def test_invalid_hyperparameters_rejected(self, call, field):
         z, _ = pairwise_inputs(4)
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=field) as exc:
             call(z)
+        assert exc.value.field == field
 
     @pytest.mark.parametrize("objective", [instance_objective, c3_objective])
     def test_non_unit_embeddings_rejected(self, objective):

@@ -209,11 +209,11 @@ class TestValidatedConfigs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                _, history = train(cfg, data)
+                _, records = train(cfg, data)
             except CrossclustError:
                 return
-        assert len(history.records) == cfg.init_epochs + cfg.c3_epochs + 1
-        assert all(np.isfinite(r.mean_loss) for r in history.records)
+        assert len(records) == cfg.init_epochs + cfg.c3_epochs + 1
+        assert all(np.isfinite(r.mean_loss) for r in records)
 
 
 class TestDegenerateEmbedding:
@@ -315,15 +315,15 @@ class TestWeightFreezing:
 
 class TestDeterminism:
     def test_identical_seed_identical_history(self, small_data):
-        p1, h1 = train(SMALL_CFG, small_data)
-        p2, h2 = train(SMALL_CFG, small_data)
-        assert h1.records == h2.records
+        p1, r1 = train(SMALL_CFG, small_data)
+        p2, r2 = train(SMALL_CFG, small_data)
+        assert r1 == r2
         assert params_equal(p1, p2)
 
     def test_different_seed_different_history(self, small_data):
-        _, h1 = train(SMALL_CFG, small_data)
-        _, h2 = train(SMALL_CFG.override(seed=1), small_data)
-        assert h1.records != h2.records
+        _, r1 = train(SMALL_CFG, small_data)
+        _, r2 = train(SMALL_CFG.override(seed=1), small_data)
+        assert r1 != r2
 
     def test_truth_labels_unreachable_from_training(self, small_data):
         """Training consumes only X: shuffling the labels must not change the
@@ -334,11 +334,11 @@ class TestDeterminism:
             truth=Partition(shuffled, small_data.truth.num_clusters),
             feature_names=small_data.feature_names,
         )
-        p1, h1 = train(SMALL_CFG, small_data)
-        p2, h2 = train(SMALL_CFG, tampered)
+        p1, r1 = train(SMALL_CFG, small_data)
+        p2, r2 = train(SMALL_CFG, tampered)
         assert params_equal(p1, p2)
-        assert [r.mean_loss for r in h1.records] == [r.mean_loss for r in h2.records]
-        assert h1.records[-1].acc != h2.records[-1].acc
+        assert [rec.mean_loss for rec in r1] == [rec.mean_loss for rec in r2]
+        assert r1[-1].acc != r2[-1].acc
 
 
 class TestPredictEvaluate:
@@ -410,18 +410,18 @@ class TestPredictEvaluate:
 
 class TestHistoryIO:
     def test_round_trip(self, tmp_path, small_data):
-        _, history = train(SMALL_CFG, small_data)
+        _, records = train(SMALL_CFG, small_data)
         path = tmp_path / "history.jsonl"
-        write_history(history.records, path)
+        write_history(records, path)
         again = read_history(path)
-        assert again == history.records
+        assert again == records
 
     def test_unlabeled_records_omit_metric_keys(self, tmp_path, small_data):
-        _, history = train(SMALL_CFG, small_data.without_labels())
+        _, records = train(SMALL_CFG, small_data.without_labels())
         path = tmp_path / "history.jsonl"
-        write_history(history.records, path)
+        write_history(records, path)
         assert '"acc"' not in path.read_text()
-        assert read_history(path) == history.records
+        assert read_history(path) == records
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -435,5 +435,5 @@ class TestHistoryIO:
             read_history(path)
 
     def test_full_run_record_count(self, small_data):
-        _, history = train(SMALL_CFG, small_data)
-        assert len(history.records) == SMALL_CFG.init_epochs + SMALL_CFG.c3_epochs + 1
+        _, records = train(SMALL_CFG, small_data)
+        assert len(records) == SMALL_CFG.init_epochs + SMALL_CFG.c3_epochs + 1
