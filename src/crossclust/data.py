@@ -193,6 +193,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                         comments=None,
                         ndmin=2,
                         converters=converters,
+                        encoding="utf-8",  # numpy < 2 defaults to passing converters Latin-1 bytes
                     )
             except ValueError:
                 # A ragged row or a bad cell; a decode error re-raises from the re-read.

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_positive
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import Matrix, as_matrix, row_l2_normalize, row_softmax
 
@@ -296,8 +297,7 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update; returns fresh params and state."""
-    if lr <= 0:
-        raise ConfigError("lr", f"learning rate must be positive, got {lr}")
+    check_positive("lr", lr)
     g = grads.flat
     if not np.isfinite(g).all():
         name = next(name for name, a in grads.named_arrays() if not np.isfinite(a).all())

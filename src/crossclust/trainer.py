@@ -161,10 +161,10 @@ def _cluster_objective(c, n, tau_c, epoch, batch):
         ) from None
 
 
-def _run_epoch(stage, params, state, config, data, seed, epoch):
+def _run_epoch(stage, params, state, config, data, epoch):
     """One pass over the stage's shuffled batches; params are updated only when
     an Adam state is given.  Returns (params, state, mean loss, mean positive pairs)."""
-    losses, pairs = [], []
+    losses, pairs, seed = [], [], config.seed
     for b, idx in _epoch_batches(seed, stage, epoch, data.n, config.batch_size):
         key = _batch_key(seed, stage, epoch, b)
         x_a, x_b = augment_batch(config.augment, data.X[idx], key, row_keys=idx)
@@ -205,9 +205,7 @@ def _run_stage(stage, params, config, data, epochs):
     for epoch in range(0 if stage == STAGE_C3 else 1, epochs + 1):
         if epoch == 1:
             state = AdamState.zeros(params)
-        params, state, mean_loss, pairs = _run_epoch(
-            stage, params, state, config, data, config.seed, epoch
-        )
+        params, state, mean_loss, pairs = _run_epoch(stage, params, state, config, data, epoch)
         metrics = evaluate(params, data) if data.truth is not None else {}
         scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
         records.append(EpochRecord(stage, epoch, mean_loss, pairs, **scores))

@@ -274,9 +274,7 @@ class TestAcceptance:
 
             loose_cfg = cfg.override(zeta=-0.5)
             # epoch 1's batches without an update, like the epoch-0 pass
-            _, _, _, loose_pairs = _run_epoch(
-                STAGE_C3, init_p, None, loose_cfg, data, SEEDS[0], 1
-            )
+            _, _, _, loose_pairs = _run_epoch(STAGE_C3, init_p, None, loose_cfg, data, 1)
             base_epoch1_pairs = run["records"][1].avg_positive_pairs
             assert loose_pairs >= 10.0 * base_epoch1_pairs, (
                 f"pairs at zeta=-0.5: {loose_pairs:.1f}, "

@@ -126,6 +126,14 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(ds.truth.labels, [0, 1, 0])
         assert ds.truth.num_clusters == 2
 
+    def test_non_latin1_labels(self, tmp_path):
+        path = tmp_path / "greek.csv"
+        path.write_text("x,kind\n1.0,α\n2.0,猫\n3.0,é\n4.0,α\n", encoding="utf-8")
+        ds = load_csv(path, label_column="kind")
+        np.testing.assert_array_equal(ds.X, [[1.0], [2.0], [3.0], [4.0]])
+        np.testing.assert_array_equal(ds.truth.labels, [0, 1, 2, 0])
+        assert ds.truth.num_clusters == 3
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b,c\n")
