@@ -84,18 +84,25 @@ def augment_batch(
     noise = np.empty((2, n, d))
     u = np.empty((2, n, d + 1))  # d mask draws, then the scale draw
     bit_gen = np.random.Philox(key=0)
-    start = bit_gen.state  # zero counter, empty buffer: where Philox(key=k) begins
+    # Where Philox(key=k) begins: zero counter, empty buffer.  One state dict
+    # of plain ints is reused; each row sets only its two key words.
+    state = bit_gen.state
+    key_words = state["state"]["key"].tolist()
+    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key_words}
+    state["buffer"] = state["buffer"].tolist()
     rng = np.random.Generator(bit_gen)
     base = int(base_key) << 64
-    for r, row_key in enumerate(row_keys.tolist()):
+    rows = zip(row_keys.tolist(), noise[0], u[0], noise[1], u[1])
+    for row_key, noise_a, u_a, noise_b, u_b in rows:
         key = base + row_key
         if not 0 <= key < 1 << 128:
             raise ContractViolationError(f"row key {key} is outside the 128-bit Philox key range")
-        start["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
-        bit_gen.state = start
-        for v in range(2):
-            rng.standard_normal(out=noise[v, r])
-            rng.random(out=u[v, r])
+        key_words[0], key_words[1] = key & _WORD, key >> 64
+        bit_gen.state = state
+        rng.standard_normal(out=noise_a)
+        rng.random(out=u_a)
+        rng.standard_normal(out=noise_b)
+        rng.random(out=u_b)
     lo, hi = cfg.scale_range
     sigma = cfg.gaussian_noise_sigma
     y = x + sigma * noise if sigma > 0 else np.broadcast_to(x, noise.shape).copy()

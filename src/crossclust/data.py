@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
+import os
+import pickle
+import signal
+import struct
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +29,7 @@ _CENTER_ATTEMPTS = 1000
 _CENTER_MARGIN = 1.05  # typical center spacing sits just above the contracted floor
 _MAX_CELL_CHARS = 2**31 - 1  # csv's cell limit in fault re-reads; fits a 32-bit C long
 _QUOTED_CHARS = 32  # a cell longer than this is cut in error messages
+_PARALLEL_PART_BYTES = 2 << 20  # the smallest part of a CSV worth a forked parser
 
 
 @dataclass(frozen=True)
@@ -53,9 +60,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def without_labels(self) -> "Dataset":
-        return replace(self, truth=None)
 
 
 def standardize(dataset: Dataset) -> Dataset:
@@ -163,6 +167,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
     trip reproduces the matrix bit-exactly.
+
+    On Linux, a file large enough to give every usable CPU a part of at
+    least ``_PARALLEL_PART_BYTES`` is parsed in parts by forked processes
+    (see :func:`_parse_parallel`); the result and every error are those of
+    the one-process parse.
     """
     path = Path(path)
     try:
@@ -178,43 +187,283 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 if label_column not in header:
                     raise CsvFormatError(f"label column '{label_column}' not in header {header}")
                 label_idx = header.index(label_column)
-            seen: dict[str, int] = {}  # label token -> cluster id, in order of first appearance
-            converters = {}
-            if label_idx is not None:
-                converters[label_idx] = lambda tok: seen.setdefault(tok, len(seen))
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
-                    table = np.loadtxt(
-                        fh,
-                        dtype=np.float64,
-                        delimiter=",",
-                        quotechar='"',
-                        comments=None,
-                        ndmin=2,
-                        converters=converters,
-                        encoding="utf-8",  # numpy < 2 defaults to passing converters Latin-1 bytes
-                    )
-            except ValueError:
-                # A ragged row or a bad cell; a decode error re-raises from the re-read.
-                raise _first_fault(path, len(header), label_idx) from None
-        if table.shape[0] == 0:
-            raise CsvFormatError(f"{path} has a header but no data rows")
-        if table.shape[1] != len(header):  # loadtxt takes its width from the first data row
-            raise _first_fault(path, len(header), label_idx)
-        feature_idx = [j for j in range(len(header)) if j != label_idx]
-        x = table if label_idx is None else table.take(feature_idx, axis=1)
-        finite = np.isfinite(x)
-        if not finite.all():
-            record, k = divmod(int(np.argmin(finite)), x.shape[1])
-            raise _non_finite_fault(path, record, feature_idx[k])
+            feature_idx = [j for j in range(len(header)) if j != label_idx]
+            parsed = _parse_parallel(path, len(header), label_idx)
+            if parsed is None:
+                parsed = _parse_serial(fh, path, len(header), label_idx)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    truth = None
-    if label_idx is not None:
-        truth = Partition(table[:, label_idx].astype(np.int64), len(seen))
+    x, ids, clusters = parsed
+    truth = None if ids is None else Partition(ids, clusters)
     names = tuple(header[j] for j in feature_idx)
     return Dataset(X=x, truth=truth, feature_names=names)
+
+
+def _read_table(fh, label_idx: int | None, seen: dict) -> np.ndarray:
+    """``np.loadtxt`` of the data rows left in ``fh`` as one float64 table.
+
+    The label column's tokens become cluster ids in order of first
+    appearance, recorded in ``seen`` (token -> id).
+    """
+    converters = {}
+    if label_idx is not None:
+        converters[label_idx] = lambda tok: seen.setdefault(tok, len(seen))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected by the caller
+        return np.loadtxt(
+            fh,
+            dtype=np.float64,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+            converters=converters,
+            encoding="utf-8",  # numpy < 2 defaults to passing converters Latin-1 bytes
+        )
+
+
+def _parse_serial(fh, path: Path, width: int, label_idx: int | None):
+    """Parse the data rows after the header in one process.
+
+    Returns ``(X, label ids or None, cluster count)``; raises the
+    :class:`CsvFormatError` of the file's first fault.
+    """
+    seen: dict[str, int] = {}
+    try:
+        table = _read_table(fh, label_idx, seen)
+    except ValueError:
+        # A ragged row or a bad cell; a decode error re-raises from the re-read.
+        raise _first_fault(path, width, label_idx) from None
+    if table.shape[0] == 0:
+        raise CsvFormatError(f"{path} has a header but no data rows")
+    if table.shape[1] != width:  # loadtxt takes its width from the first data row
+        raise _first_fault(path, width, label_idx)
+    feature_idx = [j for j in range(width) if j != label_idx]
+    x = table if label_idx is None else table.take(feature_idx, axis=1)
+    finite = np.isfinite(x)
+    if not finite.all():
+        record, k = divmod(int(np.argmin(finite)), x.shape[1])
+        raise _non_finite_fault(path, record, feature_idx[k])
+    ids = None if label_idx is None else table[:, label_idx].astype(np.int64)
+    return x, ids, len(seen)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, where CSVs are parsed in one process."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _part_bounds(path: Path, parts: int) -> list[int]:
+    """Byte offsets that split the data rows at line starts into at most
+    ``parts`` non-empty parts of about equal size: part k is
+    ``[bounds[k], bounds[k + 1])``.
+
+    Returns ``[]`` when the header line holds a double quote or a carriage
+    return before its end, since the data rows then need not start after its
+    first newline.
+    """
+    with open(path, "rb") as fb:
+        header = fb.readline()
+        line = header[:-2] if header.endswith(b"\r\n") else header[:-1]
+        if not header.endswith(b"\n") or b'"' in line or b"\r" in line:
+            return []
+        start = fb.tell()
+        size = fb.seek(0, os.SEEK_END)
+        bounds = [start]
+        for k in range(1, parts):
+            fb.seek(start + (size - start) * k // parts - 1)
+            fb.readline()  # the next line start at or after the even split
+            if bounds[-1] < fb.tell() < size:
+                bounds.append(fb.tell())
+        bounds.append(size)
+    return bounds
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, end)`` of an open file, read with ``os.pread``; ``quoted``
+    records whether a double quote was among them."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__()
+        self._fd, self._pos, self._end = fd, start, end
+        self.quoted = False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._end - self._pos), self._pos)
+        self._pos += len(data)
+        self.quoted = self.quoted or b'"' in data
+        buf[: len(data)] = data
+        return len(data)
+
+
+def _parse_part(path: Path, start: int, end: int, width: int, label_idx: int | None):
+    """``_read_table`` of the data rows in bytes ``[start, end)`` of ``path``.
+
+    Returns ``(table, label tokens in order of first appearance)``, or None
+    when the part holds a double quote (a quoted record may span a part
+    boundary) or a table of the wrong width.  Raises what ``np.loadtxt``
+    raises.
+    """
+    seen: dict[str, int] = {}
+    with open(path, "rb", buffering=0) as raw_file:
+        raw = _ByteRange(raw_file.fileno(), start, end)
+        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as text:
+            table = _read_table(text, label_idx, seen)
+    if raw.quoted or table.shape[1] != width:
+        return None
+    return table, list(seen)
+
+
+def _read_exact(fd: int, buf) -> None:
+    """Fill the writable buffer ``buf`` from ``fd``; EOFError if the writer quits first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            raise EOFError("part process ended early")
+        view = view[got:]
+
+
+def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None) -> int:
+    """Child side of :func:`_parse_parallel`: parse one part and write it to ``fd``.
+
+    The message is the row count and the token blob's length (two int64),
+    the pickled label tokens, the feature rows as C-ordered float64, then
+    the part's label ids as int64.  Returns the exit status: 0 once the
+    whole message is written, 1 if the part is not one the parent can use.
+    """
+    part = _parse_part(path, *bounds, width, label_idx)
+    if part is None:
+        return 1
+    table, tokens = part
+    feature_idx = [j for j in range(width) if j != label_idx]
+    x = table if label_idx is None else table.take(feature_idx, axis=1)
+    blob = pickle.dumps(tokens)
+    with open(fd, "wb") as out:
+        out.write(struct.pack("<qq", len(x), len(blob)))
+        out.write(blob)
+        out.write(memoryview(x).cast("B"))
+        if label_idx is not None:
+            out.write(memoryview(table[:, label_idx].astype(np.int64)).cast("B"))
+    return 0
+
+
+def _fork_part(path: Path, bounds, width: int, label_idx: int | None) -> tuple[int, int]:
+    """Fork a process that sends one part (:func:`_send_part`) down a pipe.
+
+    Returns its pid and the pipe's read end.  The child leaves by
+    ``os._exit``, so it runs none of the parent's cleanup.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (OpenBLAS's)
+            # forks.  The child runs only loadtxt and numpy copies: it calls
+            # no BLAS and takes no lock another thread may hold.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                status = _send_part(write_fd, path, bounds, width, label_idx)
+            finally:
+                os._exit(status)
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive_head(fd: int) -> tuple[int, list]:
+    """A part's row count and label tokens, the start of :func:`_send_part`'s message."""
+    head = bytearray(16)
+    _read_exact(fd, head)
+    rows, blob_len = struct.unpack("<qq", head)
+    blob = bytearray(blob_len)
+    _read_exact(fd, blob)
+    return rows, pickle.loads(blob)
+
+
+def _parse_parallel(path: Path, width: int, label_idx: int | None):
+    """Parse the data rows in parts, one per usable CPU, as :func:`_parse_serial` would.
+
+    The parent forks one process per part after the first and parses the
+    first part itself.  Every part's feature rows land in one preallocated
+    matrix, the others' read from their pipes straight into it.  Label ids
+    are merged in part order, so first-appearance numbering is that of the
+    whole file.
+
+    Returns None, and the caller parses the file in one process, when the
+    file is too small for two parts of ``_PARALLEL_PART_BYTES``, or when
+    any part fails: a loadtxt error (a bad cell, a ragged row, a decode
+    error), a table of the wrong width, a double quote in the data rows, a
+    non-finite cell, no data rows, or a child that died or could not be
+    started.  Every child is reaped before this returns or raises.
+    """
+    parts = min(_usable_cpus(), path.stat().st_size // _PARALLEL_PART_BYTES)
+    if parts < 2:
+        return None
+    bounds = _part_bounds(path, parts)
+    if len(bounds) < 3:
+        return None
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        try:
+            for part in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_part(path, part, width, label_idx))
+        except OSError:  # no process or pipe to spare
+            return None
+        try:
+            own = _parse_part(path, bounds[0], bounds[1], width, label_idx)
+            if own is None:
+                return None
+            table, tokens = own
+            heads = [(len(table), tokens)] + [_receive_head(fd) for _, fd in children]
+        except (ValueError, EOFError):  # the one-process parse raises the file's own error
+            return None
+        offsets = np.cumsum([0] + [rows for rows, _ in heads]).tolist()
+        if offsets[-1] == 0:
+            return None
+        feature_idx = [j for j in range(width) if j != label_idx]
+        x = np.empty((offsets[-1], len(feature_idx)))
+        np.take(table, feature_idx, axis=1, out=x[: offsets[1]], mode="clip")  # "raise" would buffer
+        ids = None
+        if label_idx is not None:
+            ids = np.empty(offsets[-1], dtype=np.int64)
+            ids[: offsets[1]] = table[:, label_idx]
+        del table
+        try:
+            for k, (_, fd) in enumerate(children, start=1):
+                _read_exact(fd, x[offsets[k] : offsets[k + 1]])
+                if ids is not None:
+                    _read_exact(fd, ids[offsets[k] : offsets[k + 1]])
+        except EOFError:
+            return None
+        if not np.isfinite(x).all():
+            return None
+        if ids is None:
+            return x, None, 0
+        seen: dict[str, int] = {}
+        for (_, tokens), start, stop in zip(heads, offsets, offsets[1:]):
+            remap = np.array([seen.setdefault(tok, len(seen)) for tok in tokens], dtype=np.int64)
+            ids[start:stop] = remap[ids[start:stop]]
+        return x, ids, len(seen)
+    finally:
+        # A child that sent its whole part has exited or is about to; any
+        # other is not needed.
+        for pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _records(path: Path):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import check_positive, check_zeta
 from .errors import ContractViolationError, DegenerateRowError, ShapeError
-from .numerics import Matrix, row_softmax, similarity_matrix
+from .numerics import Matrix, row_norms, row_softmax, similarity_matrix
 
 __all__ = [
     "twin_indices",
@@ -298,19 +298,24 @@ def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Ma
     n, m = c_a.shape
 
     cols = np.vstack([c_a.T, c_b.T])  # 2M rows, one per cluster column
-    norms = np.linalg.norm(cols, axis=1)
+    norms = row_norms(cols)
     zero = np.flatnonzero(norms == 0.0)
-    if zero.size:  # entries below about 1e-154 square to 0, so the column may be nonzero
+    if zero.size:
         k = int(zero[0])
-        message = f"cluster column {k} has zero norm (largest entry {cols[k].max():.3g})"
-        raise DegenerateRowError(k, message)
+        raise DegenerateRowError(k, f"cluster column {k} is all zero")
     unit = cols / norms[:, None]
 
     contrastive, d_s = init_instance_loss(unit @ unit.T, tau_c)
     d_unit = chain_to_embeddings(d_s, unit)
     # cosine normalization Jacobian, rowwise over the stacked columns
     udot = (d_unit * unit).sum(axis=1, keepdims=True)
-    d_cols = (d_unit - udot * unit) / norms[:, None]
+    with np.errstate(over="ignore"):
+        d_cols = (d_unit - udot * unit) / norms[:, None]
+    overflow = np.flatnonzero(~np.isfinite(d_cols).all(axis=1))
+    if overflow.size:  # a norm near the smallest float64 (about 1e-308)
+        k = int(overflow[0])
+        message = f"cluster column {k} has norm {norms[k]:.3g}, too small to normalize"
+        raise DegenerateRowError(k, message)
 
     # balance term: negative entropy of the per-view mean assignment
     p_a = c_a.mean(axis=0)

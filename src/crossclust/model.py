@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import check_positive
 from .errors import ConfigError, NonFiniteError, ShapeError
-from .numerics import Matrix, as_matrix, row_l2_normalize, row_softmax
+from .numerics import Matrix, as_matrix, row_l2_normalize, row_norms, row_softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
 # Activation entries per row block in cluster_probabilities (4 MiB of float64):
@@ -165,13 +165,14 @@ def forward(params: ModelParams, x) -> ForwardCache:
     encoder_pre, h = _chain_forward(params.encoder, x, relu_last=True)
     instance_pre, y_z = _chain_forward(params.instance_head, h, relu_last=False)
     cluster_pre, y_c = _chain_forward(params.cluster_head, h, relu_last=False)
-    z = row_l2_normalize(y_z)
+    z_norms = row_norms(y_z)
+    z = row_l2_normalize(y_z, z_norms)
     return ForwardCache(
         x=x,
         encoder_pre=encoder_pre,
         h=h,
         instance_pre=instance_pre,
-        z_norms=np.linalg.norm(y_z, axis=1),
+        z_norms=z_norms,
         z=z,
         cluster_pre=cluster_pre,
         c=row_softmax(y_c),

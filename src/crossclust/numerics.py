@@ -16,6 +16,8 @@ from .errors import ContractViolationError, DegenerateRowError, ShapeError
 # Universal carrier for batches, embeddings, similarities, and weights.
 Matrix = np.ndarray
 
+_RESCALE_BELOW = 1e-150  # a smaller plain row norm may have lost bits to subnormal squares
+
 
 def as_matrix(values, name: str = "matrix") -> Matrix:
     """Coerce ``values`` to a 2-D float64 array, rejecting non-finite entries."""
@@ -27,13 +29,35 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     return m
 
 
-def row_l2_normalize(m: Matrix) -> Matrix:
+def row_norms(m: Matrix) -> np.ndarray:
+    """Euclidean norm of every row.
+
+    ``np.linalg.norm`` squares the entries, and squares below about 1e-308
+    are subnormal or 0, so a row of entries below about 1e-154 gets a norm
+    that is off, or 0.  Rows whose plain norm is below 1e-150 are divided
+    by their largest magnitude before the norm; every other row keeps the
+    plain norm's bits.  Only an all-zero row has norm 0; a row whose norm
+    is itself subnormal (below about 2.2e-308) gets a subnormal's precision.
+    """
+    norms = np.linalg.norm(m, axis=1)
+    tiny = np.flatnonzero(norms < _RESCALE_BELOW)
+    if tiny.size:
+        rows = m[tiny]
+        peak = np.abs(rows).max(axis=1)
+        peak[peak == 0.0] = 1.0  # an all-zero row keeps norm 0
+        norms[tiny] = peak * np.linalg.norm(rows / peak[:, None], axis=1)
+    return norms
+
+
+def row_l2_normalize(m: Matrix, norms: np.ndarray | None = None) -> Matrix:
     """Scale every row to unit Euclidean norm.
 
-    Raises :class:`DegenerateRowError` naming the first row whose norm is zero.
+    ``norms`` are the :func:`row_norms` of ``m`` when the caller already has
+    them.  Raises :class:`DegenerateRowError` naming the first all-zero row.
     """
     m = as_matrix(m)
-    norms = np.linalg.norm(m, axis=1)
+    if norms is None:
+        norms = row_norms(m)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateRowError(int(zero[0]))

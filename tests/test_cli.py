@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestEval:
         from crossclust.data import save_csv
 
         unlabeled = tmp_path / "features_only.csv"
-        save_csv(load_csv(blobs_csv, label_column="label").without_labels(), unlabeled)
+        save_csv(replace(load_csv(blobs_csv, label_column="label"), truth=None), unlabeled)
         code = main(
             ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(unlabeled)]
         )
@@ -209,6 +210,33 @@ class TestEval:
         assert "acc" not in out
         assert "assignment_entropy" in out
         assert "no truth labels" in captured.err
+
+    def test_large_file_parsed_in_parts_prints_one_process_json(
+        self, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        from crossclust import data
+
+        large = tmp_path / "large.csv"
+        blobs = ["--n", "50000", "--d", "5", "--clusters", "3", "--sep", "6", "--sigma", "1"]
+        assert main(["generate", *blobs, "--seed", "8", "--out", str(large)]) == 0
+        assert large.stat().st_size >= 2 * data._PARALLEL_PART_BYTES
+        parse, parsed = data._parse_parallel, []
+
+        def spy(*args):
+            parsed.append(parse(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(data, "_parse_parallel", spy)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+            args = ["--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(large)]
+            assert main(["eval", *args, "--label-column", "label"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert parsed[0] is None and parsed[1] is not None
+        assert outputs[1] == outputs[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_row_standardized_to_zero_is_labeled(self, tmp_path, capsys):
         # untrained params have zero biases, so a row at the column means has y_z = 0

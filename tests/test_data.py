@@ -1,4 +1,5 @@
 import csv
+import os
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crossclust import data as data_module
 from crossclust.cli import main
 from crossclust.config import DimsSpec, TrainConfig, config_from_dict, load_config
 from crossclust.data import Dataset, generate_blobs, load_csv, save_csv, standardize
@@ -320,32 +322,206 @@ def csv_tables(draw):
     return text, ("label" if label_pos is not None else None)
 
 
+def assert_matches_rowwise_oracle(tmp_path, table):
+    text, label_column = table
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = load_csv_rowwise(path, label_column)
+    except CsvFormatError as expected:
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path, label_column)
+        assert (exc.value.row, exc.value.col) == (expected.row, expected.col)
+        return
+    x, ids, names = want
+    got = load_csv(path, label_column)
+    assert got.X.tobytes() == x.tobytes() and got.X.shape == x.shape
+    assert got.X.flags.c_contiguous
+    assert got.feature_names == names
+    if ids is None:
+        assert got.truth is None
+    else:
+        np.testing.assert_array_equal(got.truth.labels, ids)
+        assert got.truth.num_clusters == int(ids.max()) + 1
+
+
+_ORACLE_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
 class TestLoadCsvMatchesRowwiseOracle:
     @given(csv_tables())
-    @settings(
-        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
+    @_ORACLE_SETTINGS
     def test_same_matrix_labels_or_error_position(self, tmp_path, table):
-        text, label_column = table
-        path = tmp_path / "t.csv"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            want = load_csv_rowwise(path, label_column)
-        except CsvFormatError as expected:
-            with pytest.raises(CsvFormatError) as exc:
-                load_csv(path, label_column)
-            assert (exc.value.row, exc.value.col) == (expected.row, expected.col)
-            return
-        x, ids, names = want
+        assert_matches_rowwise_oracle(tmp_path, table)
+
+
+def force_parts(monkeypatch) -> list:
+    """Parse every CSV in up to 3 parts, whatever its size and the CPU count.
+
+    Returns the list that collects what each ``_parse_parallel`` call
+    returned (None where the file fell back to the one-process parse).
+    """
+    monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: 3)
+    results = []
+    parse = data_module._parse_parallel
+
+    def spy(*args):
+        results.append(parse(*args))
+        return results[-1]
+
+    monkeypatch.setattr(data_module, "_parse_parallel", spy)
+    return results
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLoadCsvInPartsMatchesRowwiseOracle:
+    @given(csv_tables())
+    @_ORACLE_SETTINGS
+    def test_same_matrix_labels_or_error_position(self, tmp_path, monkeypatch, table):
+        force_parts(monkeypatch)
+        assert_matches_rowwise_oracle(tmp_path, table)
+
+
+def parts_csv(labeled: bool = True) -> str:
+    """12 data rows for three parts.  Labels are first seen in each part; CRLF
+    and a blank line in the first part, a trailing blank line in the last."""
+    labels = ["p", "q", "p", "q", "r", "p", "s", "r", "t", "s", "q", "u"]
+    rows = [f"{i * 0.1!r},{label + ',' if labeled else ''}{-i}e-3" for i, label in enumerate(labels)]
+    header = "a,label,b" if labeled else "a,b"
+    return header + "\r\n" + "\r\n".join(rows[:4]) + "\r\n\r\n" + "\n".join(rows[4:]) + "\n\n"
+
+
+class TestLoadCsvInParts:
+    @pytest.mark.parametrize("label_column", ["label", None])
+    def test_matches_one_process_parse(self, tmp_path, monkeypatch, label_column):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(label_column is not None), newline="")
+        want = load_csv(path, label_column)
+        results = force_parts(monkeypatch)
         got = load_csv(path, label_column)
-        assert got.X.tobytes() == x.tobytes() and got.X.shape == x.shape
-        assert got.X.flags.c_contiguous
-        assert got.feature_names == names
-        if ids is None:
+        assert results[0] is not None and results[0][0].shape == (12, 2)
+        assert got.X.tobytes() == want.X.tobytes() and got.X.flags.c_contiguous
+        assert got.feature_names == want.feature_names == ("a", "b")
+        if label_column is None:
             assert got.truth is None
         else:
-            np.testing.assert_array_equal(got.truth.labels, ids)
-            assert got.truth.num_clusters == int(ids.max()) + 1
+            np.testing.assert_array_equal(got.truth.labels, want.truth.labels)
+            np.testing.assert_array_equal(got.truth.labels, [0, 1, 0, 1, 2, 0, 3, 2, 4, 3, 1, 5])
+            assert got.truth.num_clusters == want.truth.num_clusters == 6
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"1e-3\n", b"oops\n"),
+            (b"1e-3\n", b"1e-3,5\n"),
+            (b"1e-3\n", b"nan\n"),
+            (b",t,", b",\xff,"),
+            (b",t,", b',"t",'),
+            (b"a,label", b'"a",label'),
+            (b"a,label,b", b"a,label"),
+        ],
+        ids=[
+            "non_numeric", "ragged", "non_finite", "not_utf8", "quoted_label", "quoted_header",
+            "every_row_too_wide",
+        ],
+    )
+    def test_failing_part_reruns_the_one_process_parse(self, tmp_path, monkeypatch, old, new):
+        header, rows = parts_csv().encode().split(b"\r\n", 1)
+        # 10 kB of rows first, so a decode error is past what the header read decodes
+        text = header + b"\r\n" + b"0.5,p,1\n" * 1250 + rows
+        path = tmp_path / "parts.csv"
+        path.write_bytes(text[::-1].replace(old[::-1], new[::-1], 1)[::-1])  # the last match
+        try:
+            want = load_csv(path, "label")
+        except CsvFormatError as exc:
+            want = (str(exc), exc.row, exc.col)
+        results = force_parts(monkeypatch)
+        try:
+            got = load_csv(path, "label")
+        except CsvFormatError as exc:
+            got = (str(exc), exc.row, exc.col)
+        assert results == [None]
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.X.tobytes() == want.X.tobytes()
+            np.testing.assert_array_equal(got.truth.labels, want.truth.labels)
+        assert_no_child_process()
+
+    def test_dead_child_reruns_the_one_process_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        want = load_csv(path, "label")
+        results = force_parts(monkeypatch)
+        monkeypatch.setattr(data_module, "_send_part", lambda *args: os._exit(3))
+        got = load_csv(path, "label")
+        assert results == [None]
+        assert got.X.tobytes() == want.X.tobytes()
+        assert_no_child_process()
+
+    def test_failed_fork_reruns_the_one_process_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        want = load_csv(path, "label")
+        results = force_parts(monkeypatch)
+        forks, fork = [], os.fork
+
+        def second_fork_fails():  # the first child is started, the second is not
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        got = load_csv(path, "label")
+        assert results == [None] and len(forks) == 2
+        assert got.X.tobytes() == want.X.tobytes()
+        assert_no_child_process()
+
+    def test_interrupt_reaps_every_child(self, tmp_path, monkeypatch):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        force_parts(monkeypatch)
+        parent, parse_part = os.getpid(), data_module._parse_part
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse_part(*args)
+
+        monkeypatch.setattr(data_module, "_parse_part", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_csv(path, "label")
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("case", ["small_file", "one_cpu", "not_linux"])
+    def test_one_process_below_threshold_on_one_cpu_or_off_linux(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        want = load_csv(path, "label")
+        if case != "small_file":
+            monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        if case == "one_cpu":
+            monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        if case == "not_linux":
+            monkeypatch.setattr(data_module.sys, "platform", "darwin")
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = load_csv(path, "label")
+        assert got.X.tobytes() == want.X.tobytes()
 
 
 class TestTrainConfig:

@@ -448,17 +448,35 @@ class TestInitClusterLoss:
     def test_rejects_all_zero_cluster_column(self):
         c = np.zeros((4, 3))
         c[:, 0] = 1.0  # one-hot everywhere: columns 1 and 2 are all-zero
-        with pytest.raises(DegenerateRowError):
+        with pytest.raises(DegenerateRowError, match="^cluster column 1 is all zero$") as exc:
             init_cluster_loss(c, c, 1.0)
-
-    def test_underflowing_column_norm_is_not_called_all_zero(self):
-        # entries of 1e-200 square to 0, so column 1's norm is 0 though it is not
-        c_a = np.array([[1.0, 1e-200]] * 4)
-        c_b = np.full((4, 2), 0.5)
-        message = r"column 1 has zero norm \(largest entry 1e-200\)"
-        with pytest.raises(DegenerateRowError, match=message) as exc:
-            init_cluster_loss(c_a, c_b, 1.0)
         assert exc.value.row == 1
+
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-300])
+    def test_column_of_underflowing_norm_trains(self, tiny):
+        # the entries square to 0, so the plain norm of column 1 is 0
+        c_a = np.array([[1.0, tiny]] * 4)
+        c_b = np.full((4, 2), 0.5)
+        loss, d_ca, d_cb = init_cluster_loss(c_a, c_b, 1.0)
+        assert np.isfinite(loss) and np.isfinite(d_ca).all() and np.isfinite(d_cb).all()
+        # cosines see unit profiles only: both columns' are (1, 1, 1, 1) / 2,
+        # as in any constant assignment; the loss differs in the balance term
+        even = np.array([[0.75, 0.25]] * 4)
+
+        def balance(p):
+            return float((p * np.log(p)).sum())
+
+        contrastive = loss - balance(np.array([1.0, tiny]))
+        want = init_cluster_loss(even, c_b, 1.0)[0] - balance(np.array([0.75, 0.25]))
+        assert contrastive == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_column_too_small_for_a_finite_gradient(self):
+        # dividing the unit column's gradient by a norm of 4.3e-310 overflows
+        c_a = np.array([[1.0, 1.8e-307], [1.0, 6.1e-301]])
+        c_b = np.array([[1.0, 4.3e-310], [1.0, 0.0]])
+        with pytest.raises(DegenerateRowError, match="^cluster column 3 has norm 4.3e-310") as exc:
+            init_cluster_loss(c_a, c_b, 1.0)
+        assert exc.value.row == 3
 
 
 class TestCountPositivePairs:

@@ -9,6 +9,7 @@ from crossclust.errors import ContractViolationError, DegenerateRowError
 from crossclust.numerics import (
     entropy,
     row_l2_normalize,
+    row_norms,
     row_softmax,
     similarity_matrix,
 )
@@ -49,6 +50,27 @@ class TestRowL2Normalize:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractViolationError):
             row_l2_normalize(np.array([[np.inf, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_rows_of_underflowing_squares_become_unit(self, scale):
+        # at 1e-160 the squares are subnormal and the plain norm is 5.6e-6 off;
+        # at 1e-170 they are 0
+        out = row_l2_normalize(np.array([[1.0, 2.0], [3.0, 4.0]]) * scale)
+        np.testing.assert_allclose(out, [[1 / math.sqrt(5), 2 / math.sqrt(5)], [0.6, 0.8]], rtol=1e-15)
+        np.testing.assert_allclose(similarity_matrix(out).diagonal(), 1.0, rtol=1e-15)
+
+    def test_rows_above_the_rescale_floor_keep_the_plain_norm(self):
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(64, 8)) * np.logspace(-149, 149, 64)[:, None]
+        want = m / np.linalg.norm(m, axis=1)[:, None]
+        assert row_l2_normalize(m).tobytes() == want.tobytes()
+
+
+class TestRowNorms:
+    def test_underflowing_and_zero_rows(self):
+        m = np.array([[3e-170, 4e-170], [0.0, 0.0], [-1e-320, 0.0], [3.0, 4.0]])
+        np.testing.assert_allclose(row_norms(m), [5e-170, 0.0, 1e-320, 5.0], rtol=1e-15)
+        assert row_norms(m)[3] == np.linalg.norm([3.0, 4.0])
 
 
 class TestSimilarityMatrix:
