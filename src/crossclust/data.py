@@ -3,6 +3,10 @@
 Truth labels ride along in :class:`Dataset` for evaluation only; training
 code paths receive the feature matrix alone.  CSV round trips are bit-exact:
 floats are written with shortest round-trip decimal formatting.
+
+The helpers that fork a process writing into a pipe (:func:`_fork_writer`,
+:func:`_read_exact`, :func:`_reap`) serve both the parallel CSV parse and
+the trainer's augmentation producer.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ def _parse_serial(fh, path: Path, width: int, label_idx: int | None):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 off Linux, where CSVs are parsed in one process."""
+    """CPUs this process may run on; 1 off Linux, where no writer process is forked."""
     if not sys.platform.startswith("linux"):
         return 1
     return len(os.sched_getaffinity(0))
@@ -325,7 +329,7 @@ def _read_exact(fd: int, buf) -> None:
     while view:
         got = os.readv(fd, [view])
         if got == 0:
-            raise EOFError("part process ended early")
+            raise EOFError("writer process ended early")
         view = view[got:]
 
 
@@ -353,25 +357,27 @@ def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None) -
     return 0
 
 
-def _fork_part(path: Path, bounds, width: int, label_idx: int | None) -> tuple[int, int]:
-    """Fork a process that sends one part (:func:`_send_part`) down a pipe.
+def _fork_writer(write, *args) -> tuple[int, int]:
+    """Fork a process that runs ``write(fd, *args)`` on the write end of a pipe.
 
-    Returns its pid and the pipe's read end.  The child leaves by
-    ``os._exit``, so it runs none of the parent's cleanup.
+    Returns its pid and the pipe's read end; release both with :func:`_reap`.
+    The child leaves by ``os._exit`` with ``write``'s return value as its
+    status (1 if it raises), so it runs none of the parent's cleanup.
     """
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (OpenBLAS's)
-            # forks.  The child runs only loadtxt and numpy copies: it calls
-            # no BLAS and takes no lock another thread may hold.
+            # forks.  Each writer runs only numpy parsing, random draws and
+            # elementwise work: it calls no BLAS and takes no lock another
+            # thread may hold.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
             status = 1
             try:
                 os.close(read_fd)
-                status = _send_part(write_fd, path, bounds, width, label_idx)
+                status = write(write_fd, *args)
             finally:
                 os._exit(status)
     except BaseException:
@@ -380,6 +386,17 @@ def _fork_part(path: Path, bounds, width: int, label_idx: int | None) -> tuple[i
     finally:
         os.close(write_fd)
     return pid, read_fd
+
+
+def _reap(children: list) -> None:
+    """Close the pipe of each ``(pid, read end)`` in ``children``, SIGKILL the
+    process and wait for it; ``children`` is left empty.  A writer that sent
+    its whole message has exited or is about to; any other is not needed."""
+    while children:
+        pid, fd = children.pop()
+        os.close(fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _receive_head(fd: int) -> tuple[int, list]:
@@ -419,7 +436,7 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None):
     try:
         try:
             for part in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_part(path, part, width, label_idx))
+                children.append(_fork_writer(_send_part, path, part, width, label_idx))
         except OSError:  # no process or pipe to spare
             return None
         try:
@@ -458,12 +475,7 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None):
             ids[start:stop] = remap[ids[start:stop]]
         return x, ids, len(seen)
     finally:
-        # A child that sent its whole part has exited or is about to; any
-        # other is not needed.
-        for pid, fd in children:
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _reap(children)
 
 
 def _records(path: Path):

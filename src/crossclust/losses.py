@@ -97,8 +97,9 @@ def _weights_block(s_rows: Matrix, diag, gamma: float) -> Matrix:
     return row_softmax(logits)
 
 
-def _c3_block(s_rows: Matrix, mask_rows, w_rows, diag, out: Matrix):
-    """Per-row numerator and denominator sums; ``out`` gets the gradient rows."""
+def _c3_block(s_rows: Matrix, mask_rows, w_rows, diag, out: Matrix, grad: bool = True):
+    """Per-row numerator and denominator sums; ``out`` gets the gradient rows,
+    or when ``grad`` is false only scratch."""
     n2 = s_rows.shape[1]
     p_num = np.exp(s_rows)
     p_den = np.multiply(w_rows, p_num, out=out)
@@ -106,7 +107,7 @@ def _c3_block(s_rows: Matrix, mask_rows, w_rows, diag, out: Matrix):
     p_num *= mask_rows
     num = p_num.sum(axis=1)
     den = p_den.sum(axis=1)
-    if num.all() and den.all():  # an empty row raises in _c3_total
+    if grad and num.all() and den.all():  # an empty row raises in _c3_total
         p_den /= n2 * den[:, None]
         p_num /= n2 * num[:, None]
         p_den -= p_num
@@ -191,15 +192,19 @@ def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix
     return _c3_total(num, den), d_s
 
 
-def c3_objective(z: Matrix, zeta: float, gamma: float) -> tuple[float, Matrix, float]:
+def c3_objective(
+    z: Matrix, zeta: float, gamma: float, grad: bool = True
+) -> tuple[float, Matrix | None, float]:
     """One c3 step on the stacked unit embeddings ``z``: the loss, its
-    gradient w.r.t. s = z z^T and the mean number of zeta-positives per anchor.
+    gradient w.r.t. s = z z^T (None when ``grad`` is false) and the mean
+    number of zeta-positives per anchor.
 
     The same bits as ``c3_loss(s, positive_mask(s, zeta), compute_weights(s,
     gamma))`` and ``count_positive_pairs`` of that mask, but the mask and the
     weights exist one row block at a time and the gradient overwrites s in
     place: the returned gradient is s's own buffer.  As in ``c3_loss``, the
-    weights are constants for the gradient.
+    weights are constants for the gradient.  Without ``grad`` the gradient's
+    scaling pass is skipped; the loss and the count keep their bits.
     """
     check_zeta(zeta)
     check_positive("gamma", gamma)
@@ -214,8 +219,8 @@ def c3_objective(z: Matrix, zeta: float, gamma: float) -> tuple[float, Matrix, f
         mask = _positive_block(block, diag, twins[rows], zeta)
         positives[rows] = mask.sum(axis=1)
         weights = _weights_block(block, diag, gamma)
-        num[rows], den[rows] = _c3_block(block, mask, weights, diag, out=block)
-    return _c3_total(num, den), s, float(positives.mean())
+        num[rows], den[rows] = _c3_block(block, mask, weights, diag, out=block, grad=grad)
+    return _c3_total(num, den), s if grad else None, float(positives.mean())
 
 
 def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:

@@ -11,17 +11,29 @@ predictions still move because the shared features move.
 Randomness is derived positionally from the master seed: every epoch owns
 independent shuffle and augmentation streams keyed by (stage, epoch, batch),
 so runs are reproducible batch for batch and the stage-c3 epoch-0
-evaluation pass never perturbs later draws.
+evaluation pass never perturbs later draws.  The epoch-0 pass computes its
+loss without a gradient.
+
+Because the streams are positional, a stage's views can be made anywhere.
+On Linux with at least 2 usable CPUs, each stage forks one producer process
+that augments its batches in order and sends them down a pipe, while this
+process trains with OpenBLAS on one thread: the second thread gains little
+on these matrices and would take the producer's CPU (:func:`_stage_views`).
+Elsewhere, or once a producer fails, views are computed in-process, with
+the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import data as data_io
 from .augment import augment_batch
 from .config import TrainConfig
 from .data import Dataset
@@ -38,7 +50,7 @@ from .model import (
     forward,
     init_params,
 )
-from .numerics import entropy
+from .numerics import _openblas_threads, entropy
 
 STAGE_INIT = "init"
 STAGE_C3 = "c3"
@@ -96,6 +108,69 @@ def _epoch_batches(seed: int, stage: str, epoch: int, n: int, batch_size: int):
     perm = rng.permutation(n)
     for b in range(n // batch_size):
         yield b, perm[b * batch_size : (b + 1) * batch_size]
+
+
+def _augment(stage, config, data, epoch, batch, idx):
+    """The two augmented views of one batch, computed in this process."""
+    key = _batch_key(config.seed, stage, epoch, batch)
+    return augment_batch(config.augment, data.X[idx], key, row_keys=idx)
+
+
+def _send_views(fd, stage, config, data, epochs) -> int:
+    """Producer side of :func:`_stage_views`: augment every batch of ``epochs``
+    in order and write its views a then b to ``fd`` as C-ordered float64.
+    Returns the exit status, 0."""
+    with open(fd, "wb") as out:
+        for epoch in epochs:
+            for b, idx in _epoch_batches(config.seed, stage, epoch, data.n, config.batch_size):
+                for view in _augment(stage, config, data, epoch, b, idx):
+                    out.write(view)
+                out.flush()
+    return 0
+
+
+@contextlib.contextmanager
+def _stage_views(stage, config, data, epochs):
+    """Yield ``views(epoch, batch, idx)``, the two augmented views of each
+    batch of ``epochs``, asked for in batch order.
+
+    On Linux with at least 2 usable CPUs, and when the thread count of
+    numpy's OpenBLAS can be set, this process runs BLAS on one thread for
+    the whole stage while one forked producer (:func:`_send_views`)
+    augments the batches ahead of training; views are read from its pipe.
+    Otherwise, and from the batch where a producer fails or if none could
+    be started, views are computed here.  The producer is killed and
+    reaped, and the thread count restored, on every exit.
+    """
+    here = functools.partial(_augment, stage, config, data)
+    blas = _openblas_threads() if data_io._usable_cpus() >= 2 else None
+    if blas is None:
+        yield here
+        return
+    get_threads, set_threads = blas
+    threads, children = get_threads(), []
+
+    def views(epoch, batch, idx):
+        if children:
+            y = np.empty((2, len(idx), data.d))
+            try:
+                data_io._read_exact(children[0][1], y)
+                return y[0], y[1]
+            except EOFError:  # the producer died: the rest is computed here
+                data_io._reap(children)
+        return here(epoch, batch, idx)
+
+    try:
+        # One thread whether or not a producer runs: OpenBLAS rounds some
+        # shapes differently on one thread and on two, and a stage's bits
+        # must not depend on the producer's fate.
+        set_threads(1)
+        with contextlib.suppress(OSError):  # no process or pipe to spare
+            children.append(data_io._fork_writer(_send_views, stage, config, data, epochs))
+        yield views
+    finally:
+        data_io._reap(children)
+        set_threads(threads)
 
 
 def _model_dims(config: TrainConfig, data: Dataset) -> ModelDims:
@@ -161,13 +236,16 @@ def _cluster_objective(c, n, tau_c, epoch, batch):
         ) from None
 
 
-def _run_epoch(stage, params, state, config, data, epoch):
+def _run_epoch(stage, params, state, config, data, epoch, views=None):
     """One pass over the stage's shuffled batches; params are updated only when
-    an Adam state is given.  Returns (params, state, mean loss, mean positive pairs)."""
-    losses, pairs, seed = [], [], config.seed
-    for b, idx in _epoch_batches(seed, stage, epoch, data.n, config.batch_size):
-        key = _batch_key(seed, stage, epoch, b)
-        x_a, x_b = augment_batch(config.augment, data.X[idx], key, row_keys=idx)
+    an Adam state is given.  ``views(epoch, batch, idx)`` gives each batch's
+    augmented views (:func:`_stage_views`); by default they are computed here.
+    Returns (params, state, mean loss, mean positive pairs)."""
+    if views is None:
+        views = functools.partial(_augment, stage, config, data)
+    losses, pairs = [], []
+    for b, idx in _epoch_batches(config.seed, stage, epoch, data.n, config.batch_size):
+        x_a, x_b = views(epoch, b, idx)
         cache = _batch_forward(params, x_a, x_b, stage, epoch, b, idx)
         if stage == STAGE_INIT:
             loss_inst, d_s, count = instance_objective(cache.z, config.tau_I, config.zeta)
@@ -175,7 +253,9 @@ def _run_epoch(stage, params, state, config, data, epoch):
             loss, parts = loss_inst + loss_clu, {"instance": loss_inst, "cluster": loss_clu}
             d_c, lr = np.vstack([d_ca, d_cb]), config.init_lr
         else:
-            loss, d_s, count = c3_objective(cache.z, config.zeta, config.gamma)
+            loss, d_s, count = c3_objective(
+                cache.z, config.zeta, config.gamma, grad=state is not None
+            )
             parts, d_c, lr = {"c3": loss}, None, config.c3_lr
         if not np.isfinite(loss):
             detail = ", ".join(f"{k}={v!r}" for k, v in parts.items())
@@ -202,13 +282,17 @@ def _run_stage(stage, params, config, data, epochs):
         raise ConfigError("batch_size", message)
     records = []
     state = None
-    for epoch in range(0 if stage == STAGE_C3 else 1, epochs + 1):
-        if epoch == 1:
-            state = AdamState.zeros(params)
-        params, state, mean_loss, pairs = _run_epoch(stage, params, state, config, data, epoch)
-        metrics = evaluate(params, data) if data.truth is not None else {}
-        scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
-        records.append(EpochRecord(stage, epoch, mean_loss, pairs, **scores))
+    epoch_range = range(0 if stage == STAGE_C3 else 1, epochs + 1)
+    with _stage_views(stage, config, data, epoch_range) as views:
+        for epoch in epoch_range:
+            if epoch == 1:
+                state = AdamState.zeros(params)
+            params, state, mean_loss, pairs = _run_epoch(
+                stage, params, state, config, data, epoch, views
+            )
+            metrics = evaluate(params, data) if data.truth is not None else {}
+            scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
+            records.append(EpochRecord(stage, epoch, mean_loss, pairs, **scores))
     return params, records
 
 

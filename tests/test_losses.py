@@ -552,6 +552,14 @@ class TestStageObjectives:
         assert np.array_equal(d_s, ref_d_s)
         assert pairs == count_positive_pairs(mask)
 
+    @pytest.mark.parametrize("zeta", ZETAS)
+    @pytest.mark.parametrize("n2", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_c3_objective_without_gradient_keeps_loss_and_count(self, n2, gamma, zeta):
+        z, _ = pairwise_inputs(n2)
+        loss, _, pairs = c3_objective(z, zeta, gamma)
+        assert c3_objective(z, zeta, gamma, grad=False) == (loss, None, pairs)
+
     @pytest.mark.parametrize(
         "objective, args",
         [(instance_objective, (0.5, 0.6)), (c3_objective, (0.6, 0.1))],

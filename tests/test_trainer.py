@@ -1,4 +1,7 @@
+import os
 import re
+import signal
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,7 +19,7 @@ from crossclust.errors import ConfigError, CrossclustError, DegenerateRowError, 
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
 from crossclust.model import ModelDims, backward, forward, grad_check, init_params
-from crossclust.numerics import similarity_matrix
+from crossclust.numerics import _openblas_threads, similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
     evaluate,
@@ -152,8 +155,8 @@ class TestNonFiniteAbort:
 
         real = getattr(trainer, objective)
 
-        def poisoned(*args):
-            _, d_s, pairs = real(*args)
+        def poisoned(*args, **kwargs):
+            _, d_s, pairs = real(*args, **kwargs)
             return float("nan"), d_s, pairs
 
         monkeypatch.setattr(trainer, objective, poisoned)
@@ -449,3 +452,160 @@ class TestHistoryIO:
     def test_full_run_record_count(self, small_data):
         _, records = train(SMALL_CFG, small_data)
         assert len(records) == SMALL_CFG.init_epochs + SMALL_CFG.c3_epochs + 1
+
+
+BLAS = _openblas_threads() if sys.platform.startswith("linux") else None
+needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS whose thread count can be set")
+
+
+def count_producers(monkeypatch, cpus=None) -> list:
+    """Report ``cpus`` usable CPUs (the real count when None) and return the
+    list that gets one entry per process forked to write into a pipe."""
+    import crossclust.data as data_module
+
+    if cpus is not None:
+        monkeypatch.setattr(data_module, "_usable_cpus", lambda: cpus)
+    forked, fork_writer = [], data_module._fork_writer
+
+    def spy(*args):
+        forked.append(args[0].__name__)
+        return fork_writer(*args)
+
+    monkeypatch.setattr(data_module, "_fork_writer", spy)
+    return forked
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+PRODUCER_DATA = generate_blobs(seed=5, n=256, d=8, clusters=3, separation=6.0, sigma=1.0)
+PRODUCER_CFG = SMALL_CFG.override(batch_size=128, c3_epochs=1)
+
+
+def train_in_process(cfg, data, monkeypatch):
+    with monkeypatch.context() as patch:
+        forked = count_producers(patch, cpus=1)
+        result = train(cfg, data)
+    assert forked == []
+    return result
+
+
+def assert_same_run(got, want):
+    assert got[0].flat.tobytes() == want[0].flat.tobytes()
+    assert got[1] == want[1]
+
+
+class TestAugmentationProducer:
+    @needs_blas
+    @pytest.mark.parametrize("batch_size", [128, 96], ids=["b128", "b96_drops_64_rows"])
+    def test_same_bits_as_in_process_augmentation(self, monkeypatch, batch_size):
+        cfg = PRODUCER_CFG.override(batch_size=batch_size)
+        want = train_in_process(cfg, PRODUCER_DATA, monkeypatch)
+        forked = count_producers(monkeypatch, cpus=2)
+        got = train(cfg, PRODUCER_DATA)
+        assert forked == ["_send_views", "_send_views"]  # one per stage
+        assert_same_run(got, want)
+        assert_no_child_process()
+
+    @needs_blas
+    def test_producer_killed_after_its_first_batch_gives_the_same_result(self, monkeypatch):
+        import crossclust.trainer as trainer
+
+        want = train_in_process(PRODUCER_CFG, PRODUCER_DATA, monkeypatch)
+        parent, augment, here, in_producer = os.getpid(), trainer.augment_batch, [], []
+
+        def producer_killed_after_first_batch(*args, **kwargs):
+            if os.getpid() == parent:
+                here.append(None)
+            else:
+                in_producer.append(None)  # the producer's own copy of the list
+                if len(in_producer) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return augment(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "augment_batch", producer_killed_after_first_batch)
+        forked = count_producers(monkeypatch, cpus=2)
+        got = train(PRODUCER_CFG, PRODUCER_DATA)
+        assert len(forked) == 2
+        batches = (PRODUCER_CFG.init_epochs + PRODUCER_CFG.c3_epochs + 1) * 2
+        assert len(here) == batches - 2  # each stage read its first batch from the producer
+        assert_same_run(got, want)
+        assert_no_child_process()
+
+    @needs_blas
+    @pytest.mark.parametrize("ending", ["completes", "non_finite", "interrupt"])
+    def test_one_blas_thread_while_training_then_restored(self, small_data, monkeypatch, ending):
+        import crossclust.trainer as trainer
+
+        get_threads, _ = BLAS
+        before, seen, objective = get_threads(), [], trainer.c3_objective
+
+        def watched(*args, **kwargs):
+            seen.append(get_threads())
+            loss, d_s, pairs = objective(*args, **kwargs)
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+            return (float("nan") if ending == "non_finite" else loss), d_s, pairs
+
+        monkeypatch.setattr(trainer, "c3_objective", watched)
+        forked = count_producers(monkeypatch, cpus=2)
+        if ending == "completes":
+            train(SMALL_CFG, small_data)
+        else:
+            with pytest.raises(NonFiniteError if ending == "non_finite" else KeyboardInterrupt):
+                train(SMALL_CFG, small_data)
+        assert len(forked) == 2 and seen and set(seen) == {1}
+        assert get_threads() == before
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("case", ["real_affinity", "one_cpu", "not_linux", "no_blas"])
+    def test_producer_only_on_linux_with_two_cpus_and_settable_blas(
+        self, small_data, monkeypatch, case
+    ):
+        import crossclust.data as data_module
+        import crossclust.trainer as trainer
+
+        want = train_in_process(SMALL_CFG, small_data, monkeypatch)
+        forked = count_producers(monkeypatch, cpus={"one_cpu": 1, "no_blas": 2}.get(case))
+        if case == "not_linux":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+            monkeypatch.setattr(data_module.sys, "platform", "darwin")
+        if case == "no_blas":
+            monkeypatch.setattr(trainer, "_openblas_threads", lambda: None)
+        got = train(SMALL_CFG, small_data)
+        producer = case == "real_affinity" and BLAS is not None and len(os.sched_getaffinity(0)) >= 2
+        assert len(forked) == (2 if producer else 0)
+        assert_same_run(got, want)
+
+    @needs_blas
+    def test_failed_fork_augments_in_process(self, small_data, monkeypatch):
+        want = train_in_process(SMALL_CFG, small_data, monkeypatch)
+        get_threads, _ = BLAS
+        before, forks = get_threads(), []
+
+        def no_process_to_spare():
+            forks.append(None)
+            raise BlockingIOError("no process to spare")
+
+        count_producers(monkeypatch, cpus=2)
+        monkeypatch.setattr(os, "fork", no_process_to_spare)
+        got = train(SMALL_CFG, small_data)
+        assert len(forks) == 2
+        assert_same_run(got, want)
+        assert get_threads() == before
+
+    def test_epoch_zero_computes_no_c3_gradient(self, small_data, monkeypatch):
+        import crossclust.trainer as trainer
+
+        grads, objective = [], trainer.c3_objective
+
+        def watched(*args, grad=True):
+            grads.append(grad)
+            return objective(*args, grad=grad)
+
+        monkeypatch.setattr(trainer, "c3_objective", watched)
+        train_c3(init_params(0, ModelDims(6, (24, 12), 6, 3)), SMALL_CFG, small_data)
+        per_epoch = small_data.n // SMALL_CFG.batch_size
+        assert grads == [False] * per_epoch + [True] * per_epoch * SMALL_CFG.c3_epochs
