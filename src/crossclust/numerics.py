@@ -4,14 +4,10 @@ All public functions are pure: they operate on 2-D ``numpy.float64`` arrays
 ("matrices") or 1-D vectors and never modify their inputs.  Results are
 bit-stable: the same inputs give the same bits on every run.  The 2N x 2N
 work avoids full-size temporaries: ``similarity_matrix`` is one BLAS product
-and ``row_softmax`` works in its single output buffer.  The trainer sets
-the BLAS thread count through :func:`_openblas_threads`.
+and ``row_softmax`` works in its single output buffer.
 """
 
 from __future__ import annotations
-
-import ctypes
-import os
 
 import numpy as np
 
@@ -21,13 +17,6 @@ from .errors import ContractViolationError, DegenerateRowError, ShapeError
 Matrix = np.ndarray
 
 _RESCALE_BELOW = 1e-150  # a smaller plain row norm may have lost bits to subnormal squares
-# (get, set) thread-count symbols of OpenBLAS builds: numpy 2 wheels, numpy
-# 1.x wheels, a system OpenBLAS
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 def as_matrix(values, name: str = "matrix") -> Matrix:
@@ -121,33 +110,3 @@ def row_softmax(x: Matrix) -> Matrix:
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def _openblas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or None.
-
-    The library is found among the files this process has mapped (Linux
-    only), preferring one inside numpy's own install; None when there is
-    none or it exports no known thread-count symbols.  The count can change
-    result bits: OpenBLAS rounds some shapes differently on one thread and
-    on several.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
-            paths = {fields[5] for fields in map(str.split, maps) if len(fields) == 6}
-    except OSError:  # no /proc mounted
-        return None
-    numpy_dir = os.path.dirname(np.__file__)
-    found = [p for p in paths if "openblas" in os.path.basename(p).lower()]
-    for path in sorted(found, key=lambda p: (not p.startswith(numpy_dir), p)):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # the copy already loaded, or none
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None

@@ -17,17 +17,18 @@ loss without a gradient.
 Because the streams are positional, a stage's views can be made anywhere.
 On Linux with at least 2 usable CPUs, each stage forks one producer process
 that augments its batches in order and sends them down a pipe, while this
-process trains with OpenBLAS on one thread: the second thread gains little
-on these matrices and would take the producer's CPU (:func:`_stage_views`).
-Elsewhere, or once a producer fails, views are computed in-process, with
-the same bits.
+process leaves the producer a CPU: OpenBLAS runs on at most one thread
+fewer than the usable CPUs (:func:`_stage_views`).  Elsewhere, or once a
+producer fails, views are computed in-process, with the same bits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -50,11 +51,18 @@ from .model import (
     forward,
     init_params,
 )
-from .numerics import _openblas_threads, entropy
+from .numerics import entropy
 
 STAGE_INIT = "init"
 STAGE_C3 = "c3"
 _STAGE_IDS = {"params": 0, STAGE_INIT: 1, STAGE_C3: 2}
+# (get, set) thread-count symbols of OpenBLAS builds: numpy 2 wheels, numpy
+# 1.x wheels, a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,37 @@ def _epoch_batches(seed: int, stage: str, epoch: int, n: int, batch_size: int):
         yield b, perm[b * batch_size : (b + 1) * batch_size]
 
 
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the files this process has mapped (Linux
+    only), preferring one in numpy's package or its ``numpy.libs`` wheel
+    directory; None when there is none or it exports no known thread-count
+    symbols.  The count can change result bits: OpenBLAS rounds some shapes
+    differently on one thread and on several.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            paths = {fields[5] for fields in map(str.split, maps) if len(fields) == 6}
+    except OSError:  # no /proc mounted
+        return None
+    numpy_dir = os.path.dirname(np.__file__)
+    numpy_dirs = (numpy_dir + os.sep, numpy_dir + ".libs" + os.sep)
+    found = [p for p in paths if "openblas" in os.path.basename(p).lower()]
+    for path in sorted(found, key=lambda p: (not p.startswith(numpy_dirs), p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # the copy already loaded, or none
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
 def _augment(stage, config, data, epoch, batch, idx):
     """The two augmented views of one batch, computed in this process."""
     key = _batch_key(config.seed, stage, epoch, batch)
@@ -135,15 +174,17 @@ def _stage_views(stage, config, data, epochs):
     batch of ``epochs``, asked for in batch order.
 
     On Linux with at least 2 usable CPUs, and when the thread count of
-    numpy's OpenBLAS can be set, this process runs BLAS on one thread for
-    the whole stage while one forked producer (:func:`_send_views`)
-    augments the batches ahead of training; views are read from its pipe.
+    numpy's OpenBLAS can be set, one forked producer (:func:`_send_views`)
+    augments the batches ahead of training and views are read from its
+    pipe; for the whole stage this process runs BLAS on at most one thread
+    fewer than the usable CPUs, so the producer keeps a CPU.
     Otherwise, and from the batch where a producer fails or if none could
     be started, views are computed here.  The producer is killed and
     reaped, and the thread count restored, on every exit.
     """
     here = functools.partial(_augment, stage, config, data)
-    blas = _openblas_threads() if data_io._usable_cpus() >= 2 else None
+    cpus = data_io._usable_cpus()
+    blas = _openblas_threads() if cpus >= 2 else None
     if blas is None:
         yield here
         return
@@ -161,10 +202,10 @@ def _stage_views(stage, config, data, epochs):
         return here(epoch, batch, idx)
 
     try:
-        # One thread whether or not a producer runs: OpenBLAS rounds some
-        # shapes differently on one thread and on two, and a stage's bits
-        # must not depend on the producer's fate.
-        set_threads(1)
+        # Set whether or not a producer runs: OpenBLAS rounds some shapes
+        # differently on one thread and on two, and a stage's bits must not
+        # depend on the producer's fate.
+        set_threads(min(threads, cpus - 1))
         with contextlib.suppress(OSError):  # no process or pipe to spare
             children.append(data_io._fork_writer(_send_views, stage, config, data, epochs))
         yield views
@@ -236,13 +277,11 @@ def _cluster_objective(c, n, tau_c, epoch, batch):
         ) from None
 
 
-def _run_epoch(stage, params, state, config, data, epoch, views=None):
+def _run_epoch(stage, params, state, config, data, epoch, views):
     """One pass over the stage's shuffled batches; params are updated only when
     an Adam state is given.  ``views(epoch, batch, idx)`` gives each batch's
-    augmented views (:func:`_stage_views`); by default they are computed here.
+    augmented views (:func:`_stage_views`).
     Returns (params, state, mean loss, mean positive pairs)."""
-    if views is None:
-        views = functools.partial(_augment, stage, config, data)
     losses, pairs = [], []
     for b, idx in _epoch_batches(config.seed, stage, epoch, data.n, config.batch_size):
         x_a, x_b = views(epoch, b, idx)

@@ -7,6 +7,7 @@ runs: blobs(n=2000, d=32, M=5, sep=6, sigma=1), init 100 epochs + refinement
 """
 
 import contextlib
+import functools
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from crossclust.losses import (
 from crossclust.metrics import Partition, accuracy, ari, hungarian, nmi
 from crossclust.model import ModelDims, backward, forward, grad_check, init_params
 from crossclust.numerics import row_l2_normalize, row_softmax, similarity_matrix
-from crossclust.trainer import STAGE_C3, _run_epoch, train_c3, train_init
+from crossclust.trainer import STAGE_C3, _augment, _run_epoch, train_c3, train_init
 
 from oracles import (
     accuracy_brute,
@@ -274,7 +275,8 @@ class TestAcceptance:
 
             loose_cfg = cfg.override(zeta=-0.5)
             # epoch 1's batches without an update, like the epoch-0 pass
-            _, _, _, loose_pairs = _run_epoch(STAGE_C3, init_p, None, loose_cfg, data, 1)
+            here = functools.partial(_augment, STAGE_C3, loose_cfg, data)
+            _, _, _, loose_pairs = _run_epoch(STAGE_C3, init_p, None, loose_cfg, data, 1, here)
             base_epoch1_pairs = run["records"][1].avg_positive_pairs
             assert loose_pairs >= 10.0 * base_epoch1_pairs, (
                 f"pairs at zeta=-0.5: {loose_pairs:.1f}, "

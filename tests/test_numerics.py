@@ -1,15 +1,12 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossclust import numerics
 from crossclust.errors import ContractViolationError, DegenerateRowError
 from crossclust.numerics import (
-    _openblas_threads,
     entropy,
     row_l2_normalize,
     row_norms,
@@ -166,26 +163,3 @@ class TestRowSoftmax:
         before = x.copy()
         assert np.array_equal(row_softmax(x), row_softmax_reference(x))
         assert np.array_equal(x, before)
-
-
-class TestOpenblasThreads:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-    def test_sets_and_reads_the_thread_count_of_numpys_openblas(self):
-        blas = _openblas_threads()
-        if blas is None:
-            pytest.skip("numpy loaded no OpenBLAS with known thread-count symbols")
-        get_threads, set_threads = blas
-        before = get_threads()
-        try:
-            set_threads(1)
-            assert get_threads() == 1
-        finally:
-            set_threads(before)
-        assert get_threads() == before
-
-    def test_none_without_proc(self, monkeypatch):
-        def no_proc(*args, **kwargs):
-            raise FileNotFoundError("/proc/self/maps")
-
-        monkeypatch.setattr(numerics, "open", no_proc, raising=False)
-        assert _openblas_threads() is None

@@ -19,9 +19,10 @@ from crossclust.errors import ConfigError, CrossclustError, DegenerateRowError, 
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
 from crossclust.model import ModelDims, backward, forward, grad_check, init_params
-from crossclust.numerics import _openblas_threads, similarity_matrix
+from crossclust.numerics import similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
+    _openblas_threads,
     evaluate,
     predict,
     read_history,
@@ -535,8 +536,31 @@ class TestAugmentationProducer:
         assert_no_child_process()
 
     @needs_blas
+    def test_batch_250_pins_the_bits_of_one_blas_thread_on_two_cpus(self, monkeypatch):
+        # OpenBLAS rounds the 500 x 500 cosine matrix differently on one
+        # thread and on two, so this run tells the thread count apart.
+        data = generate_blobs(seed=1, n=250, d=8, clusters=5, separation=6.0, sigma=1.0)
+        cfg = TrainConfig(M=5, init_epochs=1, c3_epochs=1, batch_size=250, seed=1)
+        get_threads, set_threads = BLAS
+        before = get_threads()
+        try:
+            set_threads(1)
+            want = train_in_process(cfg, data, monkeypatch)
+            set_threads(2)
+            forked = count_producers(monkeypatch, cpus=2)
+            got = train(cfg, data)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert len(forked) == 2
+        assert_same_run(got, want)
+
+    @needs_blas
+    @pytest.mark.parametrize("cpus", [2, 64], ids=["two_cpus", "spare_cpus"])
     @pytest.mark.parametrize("ending", ["completes", "non_finite", "interrupt"])
-    def test_one_blas_thread_while_training_then_restored(self, small_data, monkeypatch, ending):
+    def test_blas_leaves_the_producer_a_cpu_then_is_restored(
+        self, small_data, monkeypatch, ending, cpus
+    ):
         import crossclust.trainer as trainer
 
         get_threads, _ = BLAS
@@ -550,13 +574,13 @@ class TestAugmentationProducer:
             return (float("nan") if ending == "non_finite" else loss), d_s, pairs
 
         monkeypatch.setattr(trainer, "c3_objective", watched)
-        forked = count_producers(monkeypatch, cpus=2)
+        forked = count_producers(monkeypatch, cpus=cpus)
         if ending == "completes":
             train(SMALL_CFG, small_data)
         else:
             with pytest.raises(NonFiniteError if ending == "non_finite" else KeyboardInterrupt):
                 train(SMALL_CFG, small_data)
-        assert len(forked) == 2 and seen and set(seen) == {1}
+        assert len(forked) == 2 and seen and set(seen) == {min(before, cpus - 1)}
         assert get_threads() == before
         assert_no_child_process()
 
@@ -609,3 +633,53 @@ class TestAugmentationProducer:
         train_c3(init_params(0, ModelDims(6, (24, 12), 6, 3)), SMALL_CFG, small_data)
         per_epoch = small_data.n // SMALL_CFG.batch_size
         assert grads == [False] * per_epoch + [True] * per_epoch * SMALL_CFG.c3_epochs
+
+
+class TestOpenblasThreads:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_sets_and_reads_the_thread_count_of_numpys_openblas(self):
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy loaded no OpenBLAS with known thread-count symbols")
+        get_threads, set_threads = blas
+        before = get_threads()
+        try:
+            set_threads(1)
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+        assert get_threads() == before
+
+    def test_none_without_proc(self, monkeypatch):
+        import crossclust.trainer as trainer
+
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(trainer, "open", no_proc, raising=False)
+        assert _openblas_threads() is None
+
+    def test_tries_numpys_own_directories_first(self, monkeypatch):
+        import io
+
+        import crossclust.trainer as trainer
+
+        numpy_dir = os.path.dirname(np.__file__)
+        site = os.path.dirname(numpy_dir)
+        paths = [
+            os.path.join(site, "numpy-extra", "libopenblas.so"),
+            os.path.join("/usr", "lib", "libopenblas.so"),
+            os.path.join(numpy_dir + ".libs", "libscipy_openblas64_.so"),
+            os.path.join(numpy_dir, "linalg", "libopenblas.so"),
+        ]
+        maps = "".join(f"7f-8f r-xp 0 08:01 1 {path}\n" for path in paths)
+        tried = []
+
+        def no_library(path, mode):
+            tried.append(path)
+            raise OSError("not loaded")
+
+        monkeypatch.setattr(trainer, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(trainer.ctypes, "CDLL", no_library)
+        assert _openblas_threads() is None
+        assert set(tried[:2]) == set(paths[2:]) and set(tried[2:]) == set(paths[:2])
