@@ -23,7 +23,6 @@ from .losses import (
     c3_loss,
     chain_to_embeddings,
     compute_weights,
-    count_positive_pairs,
     init_cluster_loss,
     init_instance_loss,
     positive_mask,
@@ -37,7 +36,6 @@ from .model import (
     adam_step,
     backward,
     forward,
-    grad_check,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -369,8 +369,11 @@ def _fork_writer(write, *args) -> tuple[int, int]:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (OpenBLAS's)
             # forks.  Each writer runs only numpy parsing, random draws and
-            # elementwise work: it calls no BLAS and takes no lock another
-            # thread may hold.
+            # elementwise work: it calls no BLAS, and no lock it takes can
+            # be held by another thread, because forks happen only while
+            # this process runs no Python thread but the main one: the
+            # trainer starts a stage's helper thread after the stage's fork
+            # and joins it before the stage ends.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:

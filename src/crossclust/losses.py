@@ -21,6 +21,14 @@ never a full mask or weight matrix.  The per-matrix functions
 (``positive_mask``, ``compute_weights``, ``c3_loss``, ``init_instance_loss``)
 run the same row-block kernels into fresh outputs, with the same bits; they
 serve tests, oracles and the frozen-weight gradient checks.
+
+The stage objectives and ``chain_to_embeddings`` take an optional ``split``:
+a callable ``split(first, second)`` that runs two zero-argument callables,
+possibly at the same time, and returns ``(first(), second())``.  Given one,
+each side computes its own half of the rows, or its own product, into
+buffers allocated here.  Every piece is row-local or a whole BLAS call, so
+the result has the same bits as without ``split``, which runs everything
+in order in the calling thread.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ __all__ = [
     "init_instance_loss",
     "instance_objective",
     "init_cluster_loss",
-    "count_positive_pairs",
 ]
 
 # The losses and objectives walk the 2N x 2N matrix in row blocks of about
@@ -59,19 +66,35 @@ def twin_indices(n2: int) -> np.ndarray:
     return (np.arange(n2) + half) % n2
 
 
-def _row_blocks(n2: int):
-    """Yield ``(rows, diag)`` over consecutive row blocks of a 2N x 2N matrix:
-    the row slice and the (block row, column) indices of its self pairs."""
+def _row_blocks(n2: int, start: int = 0, stop: int | None = None):
+    """Yield ``(rows, diag)`` over consecutive row blocks of rows
+    ``start:stop`` of a 2N x 2N matrix: the row slice and the (block row,
+    column) indices of its self pairs."""
     step = max(1, _BLOCK_ENTRIES // max(n2, 1))
-    for r0 in range(0, n2, step):
-        r1 = min(r0 + step, n2)
+    stop = n2 if stop is None else stop
+    for r0 in range(start, stop, step):
+        r1 = min(r0 + step, stop)
         yield slice(r0, r1), (np.arange(r1 - r0), np.arange(r0, r1))
 
 
-def _check_square(s, name="similarity matrix", dtype=np.float64) -> Matrix:
-    s = np.asarray(s, dtype=dtype)
+def _each_row_block(n2: int, kernel, split=None) -> None:
+    """Call ``kernel(rows, diag)`` on every row block of a 2N x 2N matrix;
+    with ``split``, each side takes half of the rows."""
+
+    def run(start, stop):
+        for rows, diag in _row_blocks(n2, start, stop):
+            kernel(rows, diag)
+
+    if split is None:
+        run(0, n2)
+    else:
+        split(lambda: run(0, n2 // 2), lambda: run(n2 // 2, n2))
+
+
+def _check_square(s) -> Matrix:
+    s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError(f"{name} must be square, got {s.shape}")
+        raise ShapeError(f"similarity matrix must be square, got {s.shape}")
     return s
 
 
@@ -94,15 +117,15 @@ def _weights_block(s_rows: Matrix, diag, gamma: float) -> Matrix:
     np.subtract(1.0, logits, out=logits)
     logits *= gamma
     logits[diag] = -np.inf
-    return row_softmax(logits)
+    return row_softmax(logits, out=logits)
 
 
 def _c3_block(s_rows: Matrix, mask_rows, w_rows, diag, out: Matrix, grad: bool = True):
     """Per-row numerator and denominator sums; ``out`` gets the gradient rows,
-    or when ``grad`` is false only scratch."""
+    or when ``grad`` is false only scratch.  ``w_rows`` is scratch too."""
     n2 = s_rows.shape[1]
-    p_num = np.exp(s_rows)
-    p_den = np.multiply(w_rows, p_num, out=out)
+    p_num = np.exp(s_rows, out=out)
+    p_den = np.multiply(w_rows, p_num, out=w_rows)
     p_den[diag] = 0.0
     p_num *= mask_rows
     num = p_num.sum(axis=1)
@@ -110,7 +133,7 @@ def _c3_block(s_rows: Matrix, mask_rows, w_rows, diag, out: Matrix, grad: bool =
     if grad and num.all() and den.all():  # an empty row raises in _c3_total
         p_den /= n2 * den[:, None]
         p_num /= n2 * num[:, None]
-        p_den -= p_num
+        np.subtract(p_den, p_num, out=p_num)
     return num, den
 
 
@@ -188,23 +211,25 @@ def c3_loss(s: Matrix, mask: np.ndarray, weights: Matrix) -> tuple[float, Matrix
     num = np.empty(n2)
     den = np.empty(n2)
     for rows, diag in _row_blocks(n2):
-        num[rows], den[rows] = _c3_block(s[rows], mask[rows], weights[rows], diag, out=d_s[rows])
+        w_rows = weights[rows].copy()  # _c3_block overwrites it
+        num[rows], den[rows] = _c3_block(s[rows], mask[rows], w_rows, diag, out=d_s[rows])
     return _c3_total(num, den), d_s
 
 
 def c3_objective(
-    z: Matrix, zeta: float, gamma: float, grad: bool = True
+    z: Matrix, zeta: float, gamma: float, grad: bool = True, split=None
 ) -> tuple[float, Matrix | None, float]:
     """One c3 step on the stacked unit embeddings ``z``: the loss, its
     gradient w.r.t. s = z z^T (None when ``grad`` is false) and the mean
     number of zeta-positives per anchor.
 
     The same bits as ``c3_loss(s, positive_mask(s, zeta), compute_weights(s,
-    gamma))`` and ``count_positive_pairs`` of that mask, but the mask and the
-    weights exist one row block at a time and the gradient overwrites s in
-    place: the returned gradient is s's own buffer.  As in ``c3_loss``, the
-    weights are constants for the gradient.  Without ``grad`` the gradient's
-    scaling pass is skipped; the loss and the count keep their bits.
+    gamma))`` and the mean row sum of that mask, but the mask and the weights
+    exist one row block at a time and the gradient overwrites s in place:
+    the returned gradient is s's own buffer.  As in ``c3_loss``, the weights
+    are constants for the gradient.  Without ``grad`` the gradient's scaling
+    pass is skipped; the loss and the count keep their bits.  ``split`` is
+    described in the module docstring.
     """
     check_zeta(zeta)
     check_positive("gamma", gamma)
@@ -214,21 +239,25 @@ def c3_objective(
     positives = np.empty(n2, dtype=np.int_)
     num = np.empty(n2)
     den = np.empty(n2)
-    for rows, diag in _row_blocks(n2):
+
+    def kernel(rows, diag):
         block = s[rows]
         mask = _positive_block(block, diag, twins[rows], zeta)
         positives[rows] = mask.sum(axis=1)
         weights = _weights_block(block, diag, gamma)
         num[rows], den[rows] = _c3_block(block, mask, weights, diag, out=block, grad=grad)
+
+    _each_row_block(n2, kernel, split)
     return _c3_total(num, den), s if grad else None, float(positives.mean())
 
 
-def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:
+def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix, split=None) -> Matrix:
     """Pull a gradient on s = z z^T back to the stacked embeddings: (dS + dS^T) z.
 
     Computed as dS z + dS^T z: BLAS reads dS^T through its transpose flag, so
     no strided 2N x 2N sum is formed.  Entries round differently from the sum
-    form, by about 1e-17 for unit rows and c3-scale gradients.
+    form, by about 1e-17 for unit rows and c3-scale gradients.  With ``split``
+    (see the module docstring) its second side computes dS^T z.
     """
     d_s = np.asarray(d_s, dtype=np.float64)
     z_stacked = np.asarray(z_stacked, dtype=np.float64)
@@ -236,7 +265,11 @@ def chain_to_embeddings(d_s: Matrix, z_stacked: Matrix) -> Matrix:
         raise ShapeError(
             f"gradient shape {d_s.shape} incompatible with embeddings {z_stacked.shape}"
         )
-    return d_s @ z_stacked + d_s.T @ z_stacked
+    if split is None:
+        return d_s @ z_stacked + d_s.T @ z_stacked
+    d_z, d_z_t = split(lambda: d_s @ z_stacked, lambda: d_s.T @ z_stacked)
+    d_z += d_z_t
+    return d_z
 
 
 def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
@@ -257,15 +290,17 @@ def init_instance_loss(s: Matrix, tau_i: float) -> tuple[float, Matrix]:
     return float(row_loss.mean()), d_s
 
 
-def instance_objective(z: Matrix, tau_i: float, zeta: float) -> tuple[float, Matrix, float]:
+def instance_objective(
+    z: Matrix, tau_i: float, zeta: float, split=None
+) -> tuple[float, Matrix, float]:
     """One init step's instance term on the stacked unit embeddings ``z``: the
     loss, its gradient w.r.t. s = z z^T and the mean number of zeta-positives
     per anchor.
 
-    The same bits as ``init_instance_loss(s, tau_i)`` and
-    ``count_positive_pairs(positive_mask(s, zeta))``, but the mask exists one
-    row block at a time and the gradient overwrites s in place: the returned
-    gradient is s's own buffer.
+    The same bits as ``init_instance_loss(s, tau_i)`` and the mean row sum of
+    ``positive_mask(s, zeta)``, but the mask exists one row block at a time
+    and the gradient overwrites s in place: the returned gradient is s's own
+    buffer.  ``split`` is described in the module docstring.
     """
     check_positive("tau_I", tau_i)
     check_zeta(zeta)
@@ -274,10 +309,13 @@ def instance_objective(z: Matrix, tau_i: float, zeta: float) -> tuple[float, Mat
     twins = twin_indices(n2)
     positives = np.empty(n2, dtype=np.int_)
     row_loss = np.empty(n2)
-    for rows, diag in _row_blocks(n2):
+
+    def kernel(rows, diag):
         block = s[rows]
         positives[rows] = _positive_block(block, diag, twins[rows], zeta).sum(axis=1)
         row_loss[rows] = _instance_block(block, diag, twins[rows], tau_i, out=block)
+
+    _each_row_block(n2, kernel, split)
     return float(row_loss.mean()), s, float(positives.mean())
 
 
@@ -334,11 +372,3 @@ def init_cluster_loss(c_a: Matrix, c_b: Matrix, tau_c: float) -> tuple[float, Ma
     d_cb = d_cols[m:].T + (np.log(p_b) + 1.0)[None, :] / n
     return loss, d_ca, d_cb
 
-
-def count_positive_pairs(mask: np.ndarray) -> float:
-    """Mean number of positives per anchor row; at least 1 because twins are forced."""
-    mask = np.asarray(mask)
-    if mask.dtype != bool:
-        raise ShapeError("mask must be boolean")
-    _check_square(mask, "positive mask", bool)
-    return float(mask.sum(axis=1).mean())

@@ -3,7 +3,7 @@
 The encoder is a ReLU MLP; the instance head ends in a row-normalized
 embedding (z), the cluster head in row-softmaxed assignment probabilities
 (c).  Gradients are analytic reverse-mode, checked against central finite
-differences by :func:`grad_check`.  Parameters and optimizer state are plain
+differences in the tests.  Parameters and optimizer state are plain
 float64 arrays so that training is bitwise reproducible for a fixed seed.
 
 All weights and biases live in one contiguous float64 vector,
@@ -310,43 +310,6 @@ def adam_step(
     bc2 = 1.0 - beta2**t
     flat = params.flat - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return replace(params, flat=flat), AdamState(m=m, v=v, step=t)
-
-
-def grad_check(
-    params: ModelParams,
-    loss_fn,
-    eps: float = 1e-5,
-    max_coords: int | None = None,
-    seed: int = 0,
-    floor: float = 1e-4,
-) -> float:
-    """Worst relative disagreement between analytic and central-difference grads.
-
-    ``loss_fn(params) -> (loss, ModelParams-shaped grads)`` must be
-    deterministic.  Coordinates are indices into ``params.flat``; with
-    ``max_coords`` a seeded sample of them is checked.  The relative error of
-    a coordinate is ``|a - n| / max(|a|, |n|, floor)``; the floor keeps
-    finite-difference roundoff on near-zero coordinates from dominating.
-    Reports only; never raises on disagreement.
-    """
-    _, analytic = loss_fn(params)
-    coords = range(params.flat.size)
-    if max_coords is not None and len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        coords = rng.choice(len(coords), size=max_coords, replace=False)
-
-    def loss_at(i, delta):
-        flat = params.flat.copy()
-        flat[i] += delta
-        return loss_fn(replace(params, flat=flat))[0]
-
-    worst = 0.0
-    for i in coords:
-        numeric = (loss_at(i, +eps) - loss_at(i, -eps)) / (2.0 * eps)
-        a = float(analytic.flat[i])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-        worst = max(worst, err)
-    return worst
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

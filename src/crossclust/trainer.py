@@ -19,16 +19,19 @@ On Linux with at least 2 usable CPUs, each stage forks one producer process
 that augments its batches in order and sends them down a pipe, while this
 process leaves the producer a CPU: OpenBLAS runs on at most one thread
 fewer than the usable CPUs (:func:`_stage_views`).  Elsewhere, or once a
-producer fails, views are computed in-process, with the same bits.
+producer fails, views are computed in-process, with the same bits.  When
+that leaves OpenBLAS one thread and the batch is large, one helper thread
+computes half of each step's pairwise rows and one of its two chain
+products (:func:`_helper_thread`), again with the same bits.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import json
-import os
+import queue
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -51,18 +54,14 @@ from .model import (
     forward,
     init_params,
 )
-from .numerics import entropy
+from .numerics import entropy, openblas
 
 STAGE_INIT = "init"
 STAGE_C3 = "c3"
 _STAGE_IDS = {"params": 0, STAGE_INIT: 1, STAGE_C3: 2}
-# (get, set) thread-count symbols of OpenBLAS builds: numpy 2 wheels, numpy
-# 1.x wheels, a system OpenBLAS
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+# The smallest stacked batch 2N whose steps a helper thread makes faster
+# (README, "Processes and threads").
+_HELPER_MIN_ROWS = 768
 
 
 @dataclass(frozen=True)
@@ -118,37 +117,6 @@ def _epoch_batches(seed: int, stage: str, epoch: int, n: int, batch_size: int):
         yield b, perm[b * batch_size : (b + 1) * batch_size]
 
 
-def _openblas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or None.
-
-    The library is found among the files this process has mapped (Linux
-    only), preferring one in numpy's package or its ``numpy.libs`` wheel
-    directory; None when there is none or it exports no known thread-count
-    symbols.  The count can change result bits: OpenBLAS rounds some shapes
-    differently on one thread and on several.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
-            paths = {fields[5] for fields in map(str.split, maps) if len(fields) == 6}
-    except OSError:  # no /proc mounted
-        return None
-    numpy_dir = os.path.dirname(np.__file__)
-    numpy_dirs = (numpy_dir + os.sep, numpy_dir + ".libs" + os.sep)
-    found = [p for p in paths if "openblas" in os.path.basename(p).lower()]
-    for path in sorted(found, key=lambda p: (not p.startswith(numpy_dirs), p)):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # the copy already loaded, or none
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
 def _augment(stage, config, data, epoch, batch, idx):
     """The two augmented views of one batch, computed in this process."""
     key = _batch_key(config.seed, stage, epoch, batch)
@@ -169,9 +137,48 @@ def _send_views(fd, stage, config, data, epochs) -> int:
 
 
 @contextlib.contextmanager
+def _helper_thread():
+    """Start one helper thread and yield ``split(first, second)``: it runs
+    ``second`` on the helper while the calling thread runs ``first``, and
+    returns ``(first(), second())`` once both have ended.  An exception
+    raised by either reaches the caller unchanged (``first``'s if both
+    raise).  The helper is joined on exit."""
+    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        while (task := tasks.get()) is not None:
+            try:
+                outcome = task(), None
+            except BaseException as exc:
+                outcome = None, exc
+            del task  # it may hold the step's 2N x 2N buffer
+            results.put(outcome)
+
+    def split(first, second):
+        tasks.put(second)
+        try:
+            value = first()
+        finally:
+            other, error = results.get()
+        if error is not None:
+            raise error
+        return value, other
+
+    # a daemon, so that a helper a fault left running cannot block exit
+    thread = threading.Thread(target=serve, name="crossclust-stage-helper", daemon=True)
+    thread.start()
+    try:
+        yield split
+    finally:
+        tasks.put(None)
+        thread.join()
+
+
+@contextlib.contextmanager
 def _stage_views(stage, config, data, epochs):
-    """Yield ``views(epoch, batch, idx)``, the two augmented views of each
-    batch of ``epochs``, asked for in batch order.
+    """Yield ``(views, split)``: ``views(epoch, batch, idx)`` gives the two
+    augmented views of each batch of ``epochs``, asked for in batch order,
+    and ``split`` is the stage's helper (:func:`_helper_thread`) or None.
 
     On Linux with at least 2 usable CPUs, and when the thread count of
     numpy's OpenBLAS can be set, one forked producer (:func:`_send_views`)
@@ -179,16 +186,19 @@ def _stage_views(stage, config, data, epochs):
     pipe; for the whole stage this process runs BLAS on at most one thread
     fewer than the usable CPUs, so the producer keeps a CPU.
     Otherwise, and from the batch where a producer fails or if none could
-    be started, views are computed here.  The producer is killed and
-    reaped, and the thread count restored, on every exit.
+    be started, views are computed here.  When the stage runs BLAS on one
+    thread and its stacked batch has at least ``_HELPER_MIN_ROWS`` rows, a
+    helper thread starts after the fork, so no thread of this process but
+    the main one is alive when it forks.  The helper is joined, the producer
+    killed and reaped, and the thread count restored, on every exit.
     """
     here = functools.partial(_augment, stage, config, data)
     cpus = data_io._usable_cpus()
-    blas = _openblas_threads() if cpus >= 2 else None
+    blas = openblas() if cpus >= 2 else None
     if blas is None:
-        yield here
+        yield here, None
         return
-    get_threads, set_threads = blas
+    get_threads, set_threads = blas.get_threads, blas.set_threads
     threads, children = get_threads(), []
 
     def views(epoch, batch, idx):
@@ -208,7 +218,9 @@ def _stage_views(stage, config, data, epochs):
         set_threads(min(threads, cpus - 1))
         with contextlib.suppress(OSError):  # no process or pipe to spare
             children.append(data_io._fork_writer(_send_views, stage, config, data, epochs))
-        yield views
+        helper = get_threads() == 1 and 2 * config.batch_size >= _HELPER_MIN_ROWS
+        with _helper_thread() if helper else contextlib.nullcontext() as split:
+            yield views, split
     finally:
         data_io._reap(children)
         set_threads(threads)
@@ -277,23 +289,25 @@ def _cluster_objective(c, n, tau_c, epoch, batch):
         ) from None
 
 
-def _run_epoch(stage, params, state, config, data, epoch, views):
+def _run_epoch(stage, params, state, config, data, epoch, views, split=None):
     """One pass over the stage's shuffled batches; params are updated only when
     an Adam state is given.  ``views(epoch, batch, idx)`` gives each batch's
-    augmented views (:func:`_stage_views`).
+    augmented views and ``split`` is the stage's helper (:func:`_stage_views`).
     Returns (params, state, mean loss, mean positive pairs)."""
     losses, pairs = [], []
     for b, idx in _epoch_batches(config.seed, stage, epoch, data.n, config.batch_size):
         x_a, x_b = views(epoch, b, idx)
         cache = _batch_forward(params, x_a, x_b, stage, epoch, b, idx)
         if stage == STAGE_INIT:
-            loss_inst, d_s, count = instance_objective(cache.z, config.tau_I, config.zeta)
+            loss_inst, d_s, count = instance_objective(
+                cache.z, config.tau_I, config.zeta, split=split
+            )
             loss_clu, d_ca, d_cb = _cluster_objective(cache.c, len(idx), config.tau_C, epoch, b)
             loss, parts = loss_inst + loss_clu, {"instance": loss_inst, "cluster": loss_clu}
             d_c, lr = np.vstack([d_ca, d_cb]), config.init_lr
         else:
             loss, d_s, count = c3_objective(
-                cache.z, config.zeta, config.gamma, grad=state is not None
+                cache.z, config.zeta, config.gamma, grad=state is not None, split=split
             )
             parts, d_c, lr = {"c3": loss}, None, config.c3_lr
         if not np.isfinite(loss):
@@ -301,7 +315,7 @@ def _run_epoch(stage, params, state, config, data, epoch, views):
             raise NonFiniteError(
                 f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {b}: {detail}"
             )
-        d_z = chain_to_embeddings(d_s, cache.z) if state is not None else None
+        d_z = chain_to_embeddings(d_s, cache.z, split=split) if state is not None else None
         del d_s  # the step's one 2N x 2N buffer: none is alive in backward
         if state is not None:
             grads = backward(params, cache, d_z, d_c)
@@ -322,12 +336,12 @@ def _run_stage(stage, params, config, data, epochs):
     records = []
     state = None
     epoch_range = range(0 if stage == STAGE_C3 else 1, epochs + 1)
-    with _stage_views(stage, config, data, epoch_range) as views:
+    with _stage_views(stage, config, data, epoch_range) as (views, split):
         for epoch in epoch_range:
             if epoch == 1:
                 state = AdamState.zeros(params)
             params, state, mean_loss, pairs = _run_epoch(
-                stage, params, state, config, data, epoch, views
+                stage, params, state, config, data, epoch, views, split
             )
             metrics = evaluate(params, data) if data.truth is not None else {}
             scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}

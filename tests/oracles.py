@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from crossclust.errors import CsvFormatError
+from crossclust.errors import CsvFormatError, ShapeError
 
 
 def dot(a, b):
@@ -302,3 +303,50 @@ def cluster_probabilities_reference(params, x):
         if k < len(layers) - 1:
             np.maximum(a, 0.0, out=a)
     return row_softmax_reference(a)
+
+
+def grad_check(
+    params,
+    loss_fn,
+    eps: float = 1e-5,
+    max_coords: int | None = None,
+    seed: int = 0,
+    floor: float = 1e-4,
+) -> float:
+    """Worst relative disagreement between analytic and central-difference
+    grads of a ``ModelParams``.
+
+    ``loss_fn(params) -> (loss, ModelParams-shaped grads)`` must be
+    deterministic.  Coordinates are indices into ``params.flat``; with
+    ``max_coords`` a seeded sample of them is checked.  The relative error of
+    a coordinate is ``|a - n| / max(|a|, |n|, floor)``; the floor keeps
+    finite-difference roundoff on near-zero coordinates from dominating.
+    Reports only; never raises on disagreement.
+    """
+    _, analytic = loss_fn(params)
+    coords = range(params.flat.size)
+    if max_coords is not None and len(coords) > max_coords:
+        rng = np.random.default_rng(seed)
+        coords = rng.choice(len(coords), size=max_coords, replace=False)
+
+    def loss_at(i, delta):
+        flat = params.flat.copy()
+        flat[i] += delta
+        return loss_fn(replace(params, flat=flat))[0]
+
+    worst = 0.0
+    for i in coords:
+        numeric = (loss_at(i, +eps) - loss_at(i, -eps)) / (2.0 * eps)
+        a = float(analytic.flat[i])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+        worst = max(worst, err)
+    return worst
+
+
+def count_positive_pairs(mask) -> float:
+    """Mean number of positives per anchor row of a square boolean mask;
+    at least 1 for a ``positive_mask``, whose twins are forced."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ShapeError(f"mask must be a square boolean matrix, got {mask.dtype} {mask.shape}")
+    return float(mask.sum(axis=1).mean())

@@ -24,7 +24,7 @@ from crossclust.losses import (
     positive_mask,
 )
 from crossclust.metrics import Partition, accuracy, ari, hungarian, nmi
-from crossclust.model import ModelDims, backward, forward, grad_check, init_params
+from crossclust.model import ModelDims, backward, forward, init_params
 from crossclust.numerics import row_l2_normalize, row_softmax, similarity_matrix
 from crossclust.trainer import STAGE_C3, _augment, _run_epoch, train_c3, train_init
 
@@ -33,6 +33,7 @@ from oracles import (
     c3_loss_scalar,
     central_difference,
     cluster_loss_scalar,
+    grad_check,
     hungarian_brute,
     instance_loss_scalar,
     minimize_weights_eg,

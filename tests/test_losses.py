@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,14 @@ from crossclust.losses import (
     c3_objective,
     chain_to_embeddings,
     compute_weights,
-    count_positive_pairs,
     init_cluster_loss,
     init_instance_loss,
     instance_objective,
     positive_mask,
     twin_indices,
 )
-from crossclust.numerics import row_l2_normalize, row_softmax, similarity_matrix
+from crossclust.numerics import openblas, row_l2_normalize, row_softmax, similarity_matrix
+from crossclust.trainer import _helper_thread
 
 from oracles import (
     c3_loss_reference,
@@ -27,6 +28,7 @@ from oracles import (
     central_difference,
     cluster_loss_scalar,
     compute_weights_reference,
+    count_positive_pairs,
     init_instance_loss_reference,
     instance_loss_scalar,
     minimize_weights_eg,
@@ -37,6 +39,8 @@ from oracles import (
 # bodies; the losses work in row blocks, of which 1024 fills 16 exactly and
 # 1000 ends with a partial one.
 PAIRWISE_SIZES = (2, 130, 256, 1000, 1024)
+# The sizes at which the helper thread's split must keep every bit.
+HELPER_SIZES = tuple(sorted({*PAIRWISE_SIZES, 500, 1000, 2000}))
 GAMMAS = (1e-6, 0.1, 100.0, 1000.0)
 TAUS = (1e-3, 0.5)
 ZETAS = (-1.0, 0.6, 1.0)
@@ -54,6 +58,22 @@ def pairwise_inputs(n2, dim=32):
 
 def random_assignments(rng, n, m):
     return row_softmax(rng.normal(size=(n, m)))
+
+
+@pytest.fixture
+def helper_split():
+    """A stage helper's ``split`` with OpenBLAS on one thread, as training
+    runs it (the thread count is left alone where it cannot be set)."""
+    blas = openblas()
+    before = blas.get_threads() if blas else None
+    if blas:
+        blas.set_threads(1)
+    try:
+        with _helper_thread() as split:
+            yield split
+    finally:
+        if blas:
+            blas.set_threads(before)
 
 
 class TestPositiveMask:
@@ -560,6 +580,27 @@ class TestStageObjectives:
         loss, _, pairs = c3_objective(z, zeta, gamma)
         assert c3_objective(z, zeta, gamma, grad=False) == (loss, None, pairs)
 
+    @pytest.mark.parametrize("n2", HELPER_SIZES)
+    def test_helper_split_keeps_every_bit(self, helper_split, n2):
+        z, _ = pairwise_inputs(n2)
+        for tau, zeta in ((0.5, 0.6), (1e-3, -1.0)):
+            want = instance_objective(z, tau, zeta)
+            got = instance_objective(z, tau, zeta, split=helper_split)
+            assert got[0] == want[0] and got[2] == want[2]
+            assert got[1].tobytes() == want[1].tobytes()
+            d_z = chain_to_embeddings(want[1], z)
+            assert chain_to_embeddings(want[1], z, split=helper_split).tobytes() == d_z.tobytes()
+        for gamma, zeta, grad in ((0.1, 0.6, True), (1000.0, 1.0, True), (0.1, 0.6, False)):
+            want = c3_objective(z, zeta, gamma, grad=grad)
+            got = c3_objective(z, zeta, gamma, grad=grad, split=helper_split)
+            assert got[0] == want[0] and got[2] == want[2]
+            if grad:
+                assert got[1].tobytes() == want[1].tobytes()
+                d_z = chain_to_embeddings(want[1], z)
+                assert chain_to_embeddings(want[1], z, split=helper_split).tobytes() == d_z.tobytes()
+            else:
+                assert got[1] is want[1] is None
+
     @pytest.mark.parametrize(
         "objective, args",
         [(instance_objective, (0.5, 0.6)), (c3_objective, (0.6, 0.1))],
@@ -573,6 +614,41 @@ class TestStageObjectives:
         tracemalloc.start()
         try:
             _, d_s, _ = objective(z, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d_s.shape == (n2, n2)
+        assert peak <= 1.25 * n2 * n2 * 8
+
+    def test_helper_split_keeps_every_bit_under_a_short_switch_interval(self, helper_split):
+        # both threads write rows of the same buffers; frequent GIL switches
+        # interleave their blocks finely
+        z, _ = pairwise_inputs(1000)
+        want = c3_objective(z, 0.6, 0.1)
+        d_z = chain_to_embeddings(want[1], z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                got = c3_objective(z, 0.6, 0.1, split=helper_split)
+                assert got[0] == want[0] and got[2] == want[2]
+                assert got[1].tobytes() == want[1].tobytes()
+                assert chain_to_embeddings(got[1], z, split=helper_split).tobytes() == d_z.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "objective, args",
+        [(instance_objective, (0.5, 0.6)), (c3_objective, (0.6, 0.1))],
+        ids=["instance", "c3"],
+    )
+    def test_helper_split_peak_memory_is_one_pairwise_buffer(self, helper_split, objective, args):
+        # two row blocks in flight, one per thread, fit the serial bound
+        n2 = 1024
+        z, _ = pairwise_inputs(n2)
+        tracemalloc.start()
+        try:
+            _, d_s, _ = objective(z, *args, split=helper_split)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import cluster_probabilities_reference
+from oracles import cluster_probabilities_reference, grad_check
 
 import crossclust.model as model
 from crossclust.errors import ConfigError, NonFiniteError, ShapeError
@@ -16,7 +16,6 @@ from crossclust.model import (
     backward,
     cluster_probabilities,
     forward,
-    grad_check,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -1,13 +1,17 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossclust.numerics as numerics
 from crossclust.errors import ContractViolationError, DegenerateRowError
 from crossclust.numerics import (
     entropy,
+    openblas,
     row_l2_normalize,
     row_norms,
     row_softmax,
@@ -18,6 +22,24 @@ from oracles import row_softmax_reference, similarity_matrix_reference
 
 # Stacked batch sizes for the bit-identity checks against the reference bodies.
 PAIRWISE_SIZES = (2, 130, 256, 1024)
+# Shapes at which similarity_matrix must give the bits of numpy's z @ z.T.
+SYRK_SIZES = (*range(2, 70), 96, 130, 250, 254, 256, 500, 512, 1000, 1022, 1024, 2000)
+SYRK_DIMS = (1, 2, 3, 7, 8, 31, 32, 33, 64)
+
+BLAS = openblas() if sys.platform.startswith("linux") else None
+needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS whose thread count can be set")
+
+
+def numpy_wheel_openblas() -> bool:
+    """Whether numpy loaded an OpenBLAS from its own package or wheel directory."""
+    numpy_dir = os.path.dirname(np.__file__)
+    with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+        paths = {fields[5] for fields in map(str.split, maps) if len(fields) == 6}
+    return any(
+        "openblas" in os.path.basename(p).lower()
+        and p.startswith((numpy_dir + os.sep, numpy_dir + ".libs" + os.sep))
+        for p in paths
+    )
 
 
 class TestRowL2Normalize:
@@ -104,6 +126,33 @@ class TestSimilarityMatrix:
         z = row_l2_normalize(np.random.default_rng(n2 + dim).normal(size=(n2, dim)))
         assert np.array_equal(similarity_matrix(z), similarity_matrix_reference(z))
 
+    @needs_blas
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_bits_as_numpys_product(self, monkeypatch, threads):
+        # every size of the grid takes the direct dsyrk path where it can;
+        # a row-strided z and d = 1 take numpy's product
+        monkeypatch.setattr(numerics, "_SYRK_MIN_ROWS", 2)
+        before = BLAS.get_threads()
+        differ = []
+        try:
+            BLAS.set_threads(threads)
+            for n2 in SYRK_SIZES:
+                for dim in SYRK_DIMS:
+                    z = row_l2_normalize(np.random.default_rng(100 * n2 + dim).normal(size=(n2, dim)))
+                    for layout, m in (("c", z), ("row_strided", np.repeat(z, 2, axis=0)[::2])):
+                        if similarity_matrix(m).tobytes() != (m @ m.T).tobytes():
+                            differ.append((n2, dim, layout))
+        finally:
+            BLAS.set_threads(before)
+        assert differ == []
+
+    @pytest.mark.parametrize("n2", [500, 1024, 2000])
+    def test_same_bits_when_the_lookup_fails(self, monkeypatch, n2):
+        z = row_l2_normalize(np.random.default_rng(n2).normal(size=(n2, 32)))
+        direct = similarity_matrix(z)
+        monkeypatch.setattr(numerics, "openblas", lambda: None)
+        assert similarity_matrix(z).tobytes() == direct.tobytes()
+
     @pytest.mark.parametrize("layout", ["c", "fortran", "row_strided"])
     def test_exactly_symmetric_at_1024(self, layout):
         z = row_l2_normalize(np.random.default_rng(3).normal(size=(1024, 32)))
@@ -163,3 +212,82 @@ class TestRowSoftmax:
         before = x.copy()
         assert np.array_equal(row_softmax(x), row_softmax_reference(x))
         assert np.array_equal(x, before)
+
+
+class TestOpenblas:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_sets_and_reads_the_thread_count_of_numpys_openblas(self):
+        blas = openblas.__wrapped__()
+        if blas is None:
+            pytest.skip("numpy loaded no OpenBLAS with known thread-count symbols")
+        before = blas.get_threads()
+        try:
+            blas.set_threads(1)
+            assert blas.get_threads() == 1
+        finally:
+            blas.set_threads(before)
+        assert blas.get_threads() == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_binds_dsyrk_of_numpys_wheel(self):
+        # numpy's wheels ship an OpenBLAS with 64-bit integers and suffixed
+        # names (scipy_cblas_dsyrk64_ on numpy 2, cblas_dsyrk64_ on 1.x); a
+        # lookup that misses them would silently lose the direct dsyrk
+        if not numpy_wheel_openblas():
+            pytest.skip("numpy was not built with the OpenBLAS of its wheel")
+        assert openblas() is not None and openblas().dsyrk is not None
+
+    def test_none_without_proc(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(numerics, "open", no_proc, raising=False)
+        assert openblas.__wrapped__() is None
+
+    def test_tries_numpys_own_directories_first(self, monkeypatch):
+        import io
+
+        numpy_dir = os.path.dirname(np.__file__)
+        site = os.path.dirname(numpy_dir)
+        paths = [
+            os.path.join(site, "numpy-extra", "libopenblas.so"),
+            os.path.join("/usr", "lib", "libopenblas.so"),
+            os.path.join(numpy_dir + ".libs", "libscipy_openblas64_.so"),
+            os.path.join(numpy_dir, "linalg", "libopenblas.so"),
+        ]
+        maps = "".join(f"7f-8f r-xp 0 08:01 1 {path}\n" for path in paths)
+        tried = []
+
+        def no_library(path, mode):
+            tried.append(path)
+            raise OSError("not loaded")
+
+        monkeypatch.setattr(numerics, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(numerics.ctypes, "CDLL", no_library)
+        assert openblas.__wrapped__() is None
+        assert set(tried[:2]) == set(paths[2:]) and set(tried[2:]) == set(paths[:2])
+
+    @pytest.mark.parametrize(
+        "flavor, dsyrk",
+        [
+            ("scipy_openblas_{}_num_threads64_", "scipy_cblas_dsyrk64_"),
+            ("openblas_{}_num_threads64_", "cblas_dsyrk64_"),
+            ("openblas_{}_num_threads", None),
+        ],
+        ids=["numpy2_wheel", "numpy1_wheel", "plain_names"],
+    )
+    def test_binds_dsyrk_only_where_its_integers_are_64_bits(self, monkeypatch, flavor, dsyrk):
+        import io
+        import types
+
+        names = {flavor.format("get"), flavor.format("set"), "cblas_dsyrk", dsyrk}
+
+        def library(path, mode):
+            return types.SimpleNamespace(**{name: lambda *a: None for name in names if name})
+
+        maps = "7f-8f r-xp 0 08:01 1 /usr/lib/libopenblas.so\n"
+        monkeypatch.setattr(numerics, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(numerics.ctypes, "CDLL", library)
+        blas = openblas.__wrapped__()
+        assert blas is not None
+        assert (blas.dsyrk is not None) == (dsyrk is not None)

@@ -1,7 +1,10 @@
+import contextlib
 import os
 import re
 import signal
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -14,15 +17,15 @@ from hypothesis.extra.numpy import arrays
 
 from crossclust.augment import AugmentConfig, augment_batch
 from crossclust.config import DimsSpec, TrainConfig
-from crossclust.data import Dataset, generate_blobs
+from crossclust.data import Dataset, generate_blobs, load_csv, save_csv
 from crossclust.errors import ConfigError, CrossclustError, DegenerateRowError, NonFiniteError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
-from crossclust.model import ModelDims, backward, forward, grad_check, init_params
-from crossclust.numerics import similarity_matrix
+from crossclust.model import ModelDims, backward, forward, init_params
+from crossclust.numerics import openblas, similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
-    _openblas_threads,
+    _helper_thread,
     evaluate,
     predict,
     read_history,
@@ -31,6 +34,8 @@ from crossclust.trainer import (
     train_init,
     write_history,
 )
+
+from oracles import grad_check
 
 SMALL_CFG = TrainConfig(
     M=3,
@@ -455,7 +460,7 @@ class TestHistoryIO:
         assert len(records) == SMALL_CFG.init_epochs + SMALL_CFG.c3_epochs + 1
 
 
-BLAS = _openblas_threads() if sys.platform.startswith("linux") else None
+BLAS = openblas() if sys.platform.startswith("linux") else None
 needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS whose thread count can be set")
 
 
@@ -541,7 +546,7 @@ class TestAugmentationProducer:
         # thread and on two, so this run tells the thread count apart.
         data = generate_blobs(seed=1, n=250, d=8, clusters=5, separation=6.0, sigma=1.0)
         cfg = TrainConfig(M=5, init_epochs=1, c3_epochs=1, batch_size=250, seed=1)
-        get_threads, set_threads = BLAS
+        get_threads, set_threads, _ = BLAS
         before = get_threads()
         try:
             set_threads(1)
@@ -563,7 +568,7 @@ class TestAugmentationProducer:
     ):
         import crossclust.trainer as trainer
 
-        get_threads, _ = BLAS
+        get_threads = BLAS.get_threads
         before, seen, objective = get_threads(), [], trainer.c3_objective
 
         def watched(*args, **kwargs):
@@ -597,7 +602,7 @@ class TestAugmentationProducer:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
             monkeypatch.setattr(data_module.sys, "platform", "darwin")
         if case == "no_blas":
-            monkeypatch.setattr(trainer, "_openblas_threads", lambda: None)
+            monkeypatch.setattr(trainer, "openblas", lambda: None)
         got = train(SMALL_CFG, small_data)
         producer = case == "real_affinity" and BLAS is not None and len(os.sched_getaffinity(0)) >= 2
         assert len(forked) == (2 if producer else 0)
@@ -606,7 +611,7 @@ class TestAugmentationProducer:
     @needs_blas
     def test_failed_fork_augments_in_process(self, small_data, monkeypatch):
         want = train_in_process(SMALL_CFG, small_data, monkeypatch)
-        get_threads, _ = BLAS
+        get_threads = BLAS.get_threads
         before, forks = get_threads(), []
 
         def no_process_to_spare():
@@ -625,9 +630,9 @@ class TestAugmentationProducer:
 
         grads, objective = [], trainer.c3_objective
 
-        def watched(*args, grad=True):
+        def watched(*args, grad=True, **kwargs):
             grads.append(grad)
-            return objective(*args, grad=grad)
+            return objective(*args, grad=grad, **kwargs)
 
         monkeypatch.setattr(trainer, "c3_objective", watched)
         train_c3(init_params(0, ModelDims(6, (24, 12), 6, 3)), SMALL_CFG, small_data)
@@ -635,51 +640,160 @@ class TestAugmentationProducer:
         assert grads == [False] * per_epoch + [True] * per_epoch * SMALL_CFG.c3_epochs
 
 
-class TestOpenblasThreads:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-    def test_sets_and_reads_the_thread_count_of_numpys_openblas(self):
-        blas = _openblas_threads()
-        if blas is None:
-            pytest.skip("numpy loaded no OpenBLAS with known thread-count symbols")
-        get_threads, set_threads = blas
+HELPER_DATA = generate_blobs(seed=2, n=768, d=8, clusters=3, separation=6.0, sigma=1.0)
+HELPER_CFG = TrainConfig(M=3, init_epochs=1, c3_epochs=1, batch_size=384, seed=2)  # 2N = 768
+
+
+def watch_helpers(monkeypatch) -> list:
+    """Return the list that gets, per stage helper started, the number of
+    threads alive once it runs."""
+    import crossclust.trainer as trainer
+
+    started, helper_thread = [], trainer._helper_thread
+
+    @contextlib.contextmanager
+    def spy():
+        with helper_thread() as split:
+            started.append(threading.active_count())
+            yield split
+
+    monkeypatch.setattr(trainer, "_helper_thread", spy)
+    return started
+
+
+def assert_main_thread_only():
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+class TestStageHelper:
+    @needs_blas
+    @pytest.mark.parametrize("batch_size", [250, 500, 512])
+    def test_same_bits_as_one_blas_thread_in_process(self, monkeypatch, batch_size):
+        import crossclust.trainer as trainer
+
+        data = generate_blobs(seed=1, n=2 * batch_size, d=8, clusters=5, separation=6.0, sigma=1.0)
+        cfg = TrainConfig(M=5, init_epochs=1, c3_epochs=1, batch_size=batch_size, seed=1)
+        get_threads, set_threads, _ = BLAS
         before = get_threads()
         try:
             set_threads(1)
-            assert get_threads() == 1
+            want = train_in_process(cfg, data, monkeypatch)
+            set_threads(before)
+            helpers = watch_helpers(monkeypatch)
+            count_producers(monkeypatch, cpus=2)
+            got = train(cfg, data)
         finally:
             set_threads(before)
+        assert len(helpers) == (2 if 2 * batch_size >= trainer._HELPER_MIN_ROWS else 0)
+        assert_same_run(got, want)
+        assert_main_thread_only()
+
+    @needs_blas
+    @pytest.mark.parametrize(
+        "cpus, cfg",
+        [(2, HELPER_CFG), (64, HELPER_CFG), (1, HELPER_CFG), (2, SMALL_CFG)],
+        ids=["two_cpus", "spare_cpus", "one_cpu", "small_batch"],
+    )
+    def test_helper_only_while_blas_runs_on_one_thread_at_large_batch(
+        self, monkeypatch, cpus, cfg
+    ):
+        import crossclust.trainer as trainer
+
+        get_threads = BLAS.get_threads
+        before, seen, objectives = get_threads(), [], {}
+
+        def watched(name):
+            def objective(*args, split=None, **kwargs):
+                seen.append((get_threads(), split is not None))
+                return objectives[name](*args, split=split, **kwargs)
+
+            return objective
+
+        for name in ("instance_objective", "c3_objective"):
+            objectives[name] = getattr(trainer, name)
+            monkeypatch.setattr(trainer, name, watched(name))
+        helpers = watch_helpers(monkeypatch)
+        count_producers(monkeypatch, cpus=cpus)
+        data = HELPER_DATA if cfg is HELPER_CFG else generate_blobs(
+            seed=11, n=64, d=6, clusters=3, separation=6.0, sigma=1.0
+        )
+        train(cfg, data)
+        threads = min(before, cpus - 1) if cpus >= 2 else before
+        helper = cpus >= 2 and threads == 1 and 2 * cfg.batch_size >= trainer._HELPER_MIN_ROWS
+        assert seen and set(seen) == {(threads, helper)}
+        assert helpers == ([2, 2] if helper else [])  # the main thread and one helper
         assert get_threads() == before
 
-    def test_none_without_proc(self, monkeypatch):
+    @needs_blas
+    def test_only_the_main_thread_runs_when_a_process_forks(self, tmp_path, monkeypatch):
+        import crossclust.data as data_module
+
+        path = tmp_path / "train.csv"
+        save_csv(HELPER_DATA, path)
+        forks, fork_writer = [], data_module._fork_writer
+
+        def spy(write, *args):
+            forks.append((write.__name__, threading.active_count()))
+            return fork_writer(write, *args)
+
+        monkeypatch.setattr(data_module, "_fork_writer", spy)
+        monkeypatch.setattr(data_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        helpers = watch_helpers(monkeypatch)
+        for _ in range(2):
+            data = load_csv(path, "label")
+            train(HELPER_CFG, data)
+        assert len(helpers) == 4
+        assert forks == [("_send_part", 1), ("_send_views", 1), ("_send_views", 1)] * 2
+        assert_no_child_process()
+
+    @needs_blas
+    @pytest.mark.parametrize("ending", ["completes", "non_finite", "interrupt"])
+    def test_no_helper_left_after_the_run(self, monkeypatch, ending):
         import crossclust.trainer as trainer
 
-        def no_proc(*args, **kwargs):
-            raise FileNotFoundError("/proc/self/maps")
+        objective, helpers = trainer.c3_objective, watch_helpers(monkeypatch)
 
-        monkeypatch.setattr(trainer, "open", no_proc, raising=False)
-        assert _openblas_threads() is None
+        def watched(*args, **kwargs):
+            loss, d_s, pairs = objective(*args, **kwargs)
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+            return (float("nan") if ending == "non_finite" else loss), d_s, pairs
 
-    def test_tries_numpys_own_directories_first(self, monkeypatch):
-        import io
+        monkeypatch.setattr(trainer, "c3_objective", watched)
+        count_producers(monkeypatch, cpus=2)
+        if ending == "completes":
+            train(HELPER_CFG, HELPER_DATA)
+        else:
+            with pytest.raises(NonFiniteError if ending == "non_finite" else KeyboardInterrupt):
+                train(HELPER_CFG, HELPER_DATA)
+        assert helpers == [2, 2]
+        assert_main_thread_only()
+        assert_no_child_process()
 
-        import crossclust.trainer as trainer
+    def test_exception_on_the_helper_reaches_the_caller_unchanged(self):
+        error = ValueError("raised on the helper")
 
-        numpy_dir = os.path.dirname(np.__file__)
-        site = os.path.dirname(numpy_dir)
-        paths = [
-            os.path.join(site, "numpy-extra", "libopenblas.so"),
-            os.path.join("/usr", "lib", "libopenblas.so"),
-            os.path.join(numpy_dir + ".libs", "libscipy_openblas64_.so"),
-            os.path.join(numpy_dir, "linalg", "libopenblas.so"),
-        ]
-        maps = "".join(f"7f-8f r-xp 0 08:01 1 {path}\n" for path in paths)
-        tried = []
+        def fail():
+            raise error
 
-        def no_library(path, mode):
-            tried.append(path)
-            raise OSError("not loaded")
+        with _helper_thread() as split:
+            assert split(lambda: 1, lambda: 2) == (1, 2)
+            with pytest.raises(ValueError) as exc:
+                split(lambda: 1, fail)
+            assert exc.value is error
+            assert split(lambda: 3, lambda: 4) == (3, 4)
+        assert_main_thread_only()
 
-        monkeypatch.setattr(trainer, "open", lambda *a, **k: io.StringIO(maps), raising=False)
-        monkeypatch.setattr(trainer.ctypes, "CDLL", no_library)
-        assert _openblas_threads() is None
-        assert set(tried[:2]) == set(paths[2:]) and set(tried[2:]) == set(paths[:2])
+    def test_caller_exception_is_raised_once_the_helper_is_done(self):
+        done = []
+
+        def slow():
+            time.sleep(0.05)
+            done.append(True)
+
+        with _helper_thread() as split:
+            with pytest.raises(KeyError):
+                split(lambda: {}["missing"], slow)
+            assert done == [True]
+        assert_main_thread_only()
