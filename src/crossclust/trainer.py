@@ -142,7 +142,8 @@ def _helper_thread():
     ``second`` on the helper while the calling thread runs ``first``, and
     returns ``(first(), second())`` once both have ended.  An exception
     raised by either reaches the caller unchanged (``first``'s if both
-    raise).  The helper is joined on exit."""
+    raise).  The helper is joined on exit.  Yields None, for the serial
+    path, when no thread can be started."""
     tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
 
     def serve():
@@ -166,7 +167,11 @@ def _helper_thread():
 
     # a daemon, so that a helper a fault left running cannot block exit
     thread = threading.Thread(target=serve, name="crossclust-stage-helper", daemon=True)
-    thread.start()
+    try:
+        thread.start()
+    except RuntimeError:  # no thread to spare
+        yield None
+        return
     try:
         yield split
     finally:

@@ -771,6 +771,20 @@ class TestStageHelper:
         assert_main_thread_only()
         assert_no_child_process()
 
+    @needs_blas
+    def test_failed_thread_start_runs_serially(self, monkeypatch):
+        count_producers(monkeypatch, cpus=2)
+        want = train(HELPER_CFG, HELPER_DATA)
+        helpers = watch_helpers(monkeypatch)
+
+        def no_thread_to_spare(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread_to_spare)
+        got = train(HELPER_CFG, HELPER_DATA)
+        assert helpers == [1, 1]  # both stages went on without a helper
+        assert_same_run(got, want)
+
     def test_exception_on_the_helper_reaches_the_caller_unchanged(self):
         error = ValueError("raised on the helper")
 
