@@ -193,55 +193,36 @@ def _sweep_job(job: dict) -> dict:
     return _status_row(job)
 
 
+# aggregate.csv's per-run columns: (column, c3 record, EpochRecord field),
+# where record 0 is the c3 stage's epoch-0 evaluation and -1 its last epoch.
+_RUN_COLUMNS = [
+    ("epoch0_acc", 0, "acc"),
+    ("epoch0_nmi", 0, "nmi"),
+    ("epoch0_ari", 0, "ari"),
+    ("epoch0_avg_positive_pairs", 0, "avg_positive_pairs"),
+    ("final_acc", -1, "acc"),
+    ("final_nmi", -1, "nmi"),
+    ("final_ari", -1, "ari"),
+    ("final_avg_positive_pairs", -1, "avg_positive_pairs"),
+    ("final_loss", -1, "mean_loss"),
+]
+_AGGREGATE_COLUMNS = [
+    "param", "value", "seed", "status", *(column for column, _, _ in _RUN_COLUMNS), "run_dir"
+]
+
+
 def _aggregate_row(base: dict) -> dict:
     row = dict(base)
     row.pop("message", None)
-    for col in (
-        "epoch0_acc",
-        "epoch0_nmi",
-        "epoch0_ari",
-        "epoch0_avg_positive_pairs",
-        "final_acc",
-        "final_nmi",
-        "final_ari",
-        "final_avg_positive_pairs",
-        "final_loss",
-    ):
-        row[col] = ""
+    row.update((column, "") for column, _, _ in _RUN_COLUMNS)
     if base["status"] != "ok":
         return row
     records = read_history(Path(base["run_dir"]) / "history.jsonl")
     c3 = [r for r in records if r.stage == "c3"]
     if c3:
-        first, last = c3[0], c3[-1]
-        row["epoch0_acc"] = first.acc
-        row["epoch0_nmi"] = first.nmi
-        row["epoch0_ari"] = first.ari
-        row["epoch0_avg_positive_pairs"] = first.avg_positive_pairs
-        row["final_acc"] = last.acc
-        row["final_nmi"] = last.nmi
-        row["final_ari"] = last.ari
-        row["final_avg_positive_pairs"] = last.avg_positive_pairs
-        row["final_loss"] = last.mean_loss
+        row.update((column, getattr(c3[k], name)) for column, k, name in _RUN_COLUMNS)
     return row
 
-
-_AGGREGATE_COLUMNS = [
-    "param",
-    "value",
-    "seed",
-    "status",
-    "epoch0_acc",
-    "epoch0_nmi",
-    "epoch0_ari",
-    "epoch0_avg_positive_pairs",
-    "final_acc",
-    "final_nmi",
-    "final_ari",
-    "final_avg_positive_pairs",
-    "final_loss",
-    "run_dir",
-]
 
 _CURVE_COLUMNS = ["param", "value", "seed", "stage", "epoch", "loss", "pos_pairs", "acc", "nmi", "ari"]
 
@@ -273,14 +254,25 @@ def cmd_sweep(args, parser) -> int:
         configs = [base_config.override(**{args.param: value}) for value in values]
     except ConfigError as exc:
         parser.error(f"--values: {exc}")
+    value_dirs = [f"{args.param}={value:g}" for value in values]
+    for flag, items, names in (
+        ("--values", values, value_dirs),
+        ("--seeds", seeds, [f"seed={seed}" for seed in seeds]),
+    ):
+        shared = {}
+        for item, name in zip(items, names):
+            shared.setdefault(name, []).append(repr(item))
+        clashes = [f"{', '.join(v)} -> {name}" for name, v in shared.items() if len(v) > 1]
+        if clashes:
+            parser.error(f"{flag}: runs would share a directory: {'; '.join(clashes)}")
     out_dir = args.out or _out_root() / "sweep"
     out_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = []
     skipped = []
-    for value, config in zip(values, configs):
+    for value_dir, config in zip(value_dirs, configs):
         for seed in seeds:
-            run_dir = out_dir / f"{args.param}={value:g}" / f"seed={seed}"
+            run_dir = out_dir / value_dir / f"seed={seed}"
             job = {
                 "param": args.param,
                 "config": config.override(seed=seed),

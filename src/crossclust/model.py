@@ -127,27 +127,20 @@ def init_params(seed, dims: ModelDims) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Pre-activations and outputs of one forward pass, kept for backward."""
+    """What backward reads of one forward pass: the input, each encoder
+    layer's post-ReLU activation, and the outputs.  Each head is one affine
+    layer on h (:meth:`ModelDims.segments`), so no head pre-output is kept."""
 
     x: Matrix
-    encoder_pre: list[Matrix]
-    h: Matrix
-    instance_pre: list[Matrix]
+    acts: list[Matrix]
     z_norms: np.ndarray
     z: Matrix
-    cluster_pre: list[Matrix]
     c: Matrix
 
-
-def _chain_forward(layers, x, relu_last: bool):
-    pres = []
-    a = x
-    last = len(layers) - 1
-    for k, layer in enumerate(layers):
-        pre = a @ layer.weight + layer.bias
-        pres.append(pre)
-        a = np.maximum(pre, 0.0) if (k < last or relu_last) else pre
-    return pres, a
+    @property
+    def h(self) -> Matrix:
+        """The encoder's output, its last activation."""
+        return self.acts[-1]
 
 
 def _input_matrix(params: ModelParams, x) -> Matrix:
@@ -159,24 +152,32 @@ def _input_matrix(params: ModelParams, x) -> Matrix:
     return x
 
 
+def _encode(params: ModelParams, a) -> list[Matrix]:
+    """The post-ReLU activation of every encoder layer, each computed in one buffer."""
+    acts = []
+    for layer in params.encoder:
+        a = a @ layer.weight
+        a += layer.bias
+        np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
+
+
+def _affine(layer: LinearLayer, h) -> Matrix:
+    y = h @ layer.weight
+    y += layer.bias
+    return y
+
+
 def forward(params: ModelParams, x) -> ForwardCache:
     """h = f(x); z = normalize(instance_head(h)); c = softmax(cluster_head(h))."""
     x = _input_matrix(params, x)
-    encoder_pre, h = _chain_forward(params.encoder, x, relu_last=True)
-    instance_pre, y_z = _chain_forward(params.instance_head, h, relu_last=False)
-    cluster_pre, y_c = _chain_forward(params.cluster_head, h, relu_last=False)
+    acts = _encode(params, x)
+    y_z = _affine(params.instance_head[0], acts[-1])
     z_norms = row_norms(y_z)
     z = row_l2_normalize(y_z, z_norms)
-    return ForwardCache(
-        x=x,
-        encoder_pre=encoder_pre,
-        h=h,
-        instance_pre=instance_pre,
-        z_norms=z_norms,
-        z=z,
-        cluster_pre=cluster_pre,
-        c=row_softmax(y_c),
-    )
+    y_c = _affine(params.cluster_head[0], acts[-1])
+    return ForwardCache(x=x, acts=acts, z_norms=z_norms, z=z, c=row_softmax(y_c, out=y_c))
 
 
 def _row_blocks(n: int, width: int):
@@ -202,36 +203,27 @@ def cluster_probabilities(params: ModelParams, x) -> Matrix:
     embedding is zero (which ``forward`` cannot normalize).
     """
     x = _input_matrix(params, x)
-    layers = [*params.encoder, *params.cluster_head]
-    blocks = _row_blocks(x.shape[0], max(layer.bias.size for layer in layers))
+    dims = params.dims
+    blocks = _row_blocks(x.shape[0], max(*dims.encoder_hidden, dims.num_clusters))
     if len(blocks) < 2:
-        return _cluster_pass(layers, x)
-    out = np.empty((x.shape[0], params.dims.num_clusters))
+        return _cluster_pass(params, x)
+    out = np.empty((x.shape[0], dims.num_clusters))
     for rows in blocks:
-        out[rows] = _cluster_pass(layers, x[rows])
+        out[rows] = _cluster_pass(params, x[rows])
     return out
 
 
-def _cluster_pass(layers, a) -> Matrix:
-    for k, layer in enumerate(layers):
-        a = a @ layer.weight
-        a += layer.bias
-        if k < len(layers) - 1:
-            np.maximum(a, 0.0, out=a)
-    return row_softmax(a)
+def _cluster_pass(params: ModelParams, x) -> Matrix:
+    y = _affine(params.cluster_head[0], _encode(params, x)[-1])
+    return row_softmax(y, out=y)
 
 
-def _chain_backward(layers, grads, pres, x, d_out, relu_last: bool = False):
-    """Backprop a linear/ReLU chain into the layers ``grads``; returns the grad wrt chain input."""
-    last = len(layers) - 1
-    da = d_out
-    for k in range(last, -1, -1):
-        d_pre = da * (pres[k] > 0) if (k < last or relu_last) else da
-        a_in = np.maximum(pres[k - 1], 0.0) if k > 0 else x
-        np.matmul(a_in.T, d_pre, out=grads[k].weight)
-        d_pre.sum(axis=0, out=grads[k].bias)
-        da = d_pre @ layers[k].weight.T
-    return da
+def _head_backward(layer: LinearLayer, grad: LinearLayer, h, d_y) -> Matrix:
+    """Fill a head's gradient blocks ``grad`` for the upstream gradient ``d_y``
+    of its output; returns the gradient w.r.t. h."""
+    np.matmul(h.T, d_y, out=grad.weight)
+    d_y.sum(axis=0, out=grad.bias)
+    return d_y @ layer.weight.T
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_z, grad_c) -> ModelParams:
@@ -240,7 +232,9 @@ def backward(params: ModelParams, cache: ForwardCache, grad_z, grad_c) -> ModelP
     The z path includes the row-normalization Jacobian, the c path the softmax
     Jacobian.  ``grad_c=None`` means the loss does not depend on c: the cluster
     head is not backpropagated, its gradient blocks are exact zeros and the
-    encoder receives the instance head's gradient alone.  Every block is
+    encoder receives the instance head's gradient alone.  ReLU masks and layer
+    inputs come from the cached activations (``act > 0`` exactly where the
+    pre-activation is), and no gradient w.r.t. x is formed.  Every block is
     written into one fresh flat vector.
     """
     grad_z = np.asarray(grad_z, dtype=np.float64)
@@ -255,23 +249,24 @@ def backward(params: ModelParams, cache: ForwardCache, grad_z, grad_c) -> ModelP
     zdot = (grad_z * cache.z).sum(axis=1, keepdims=True)
     d_yz = (grad_z - zdot * cache.z) / cache.z_norms[:, None]
     grads = replace(params, flat=np.empty_like(params.flat))
-    dh = _chain_backward(
-        params.instance_head, grads.instance_head, cache.instance_pre, cache.h, d_yz
-    )
+    da = _head_backward(params.instance_head[0], grads.instance_head[0], cache.h, d_yz)
 
     if grad_c is None:
-        for layer in grads.cluster_head:
-            layer.weight[...] = 0.0
-            layer.bias[...] = 0.0
+        grads.cluster_head[0].weight[...] = 0.0
+        grads.cluster_head[0].bias[...] = 0.0
     else:
         # c = softmax(y)  =>  dL/dy = c * (g - sum(g * c))
         cdot = (grad_c * cache.c).sum(axis=1, keepdims=True)
         d_yc = cache.c * (grad_c - cdot)
-        dh = dh + _chain_backward(
-            params.cluster_head, grads.cluster_head, cache.cluster_pre, cache.h, d_yc
-        )
+        da += _head_backward(params.cluster_head[0], grads.cluster_head[0], cache.h, d_yc)
 
-    _chain_backward(params.encoder, grads.encoder, cache.encoder_pre, cache.x, dh, relu_last=True)
+    for k in range(len(params.encoder) - 1, -1, -1):
+        da *= cache.acts[k] > 0  # da is now the gradient w.r.t. layer k's pre-activation
+        a_in = cache.acts[k - 1] if k > 0 else cache.x
+        np.matmul(a_in.T, da, out=grads.encoder[k].weight)
+        da.sum(axis=0, out=grads.encoder[k].bias)
+        if k > 0:
+            da = da @ params.encoder[k].weight.T
     return grads
 
 

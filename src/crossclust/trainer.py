@@ -118,20 +118,20 @@ def _epoch_batches(seed: int, stage: str, epoch: int, n: int, batch_size: int):
 
 
 def _augment(stage, config, data, epoch, batch, idx):
-    """The two augmented views of one batch, computed in this process."""
+    """The two augmented views of one batch, computed in this process and
+    stacked: view a's rows, then view b's, one (2N, d) array."""
     key = _batch_key(config.seed, stage, epoch, batch)
-    return augment_batch(config.augment, data.X[idx], key, row_keys=idx)
+    return np.vstack(augment_batch(config.augment, data.X[idx], key, row_keys=idx))
 
 
 def _send_views(fd, stage, config, data, epochs) -> int:
     """Producer side of :func:`_stage_views`: augment every batch of ``epochs``
-    in order and write its views a then b to ``fd`` as C-ordered float64.
-    Returns the exit status, 0."""
+    in order and write its stacked views to ``fd`` in one write, as C-ordered
+    float64.  Returns the exit status, 0."""
     with open(fd, "wb") as out:
         for epoch in epochs:
             for b, idx in _epoch_batches(config.seed, stage, epoch, data.n, config.batch_size):
-                for view in _augment(stage, config, data, epoch, b, idx):
-                    out.write(view)
+                out.write(_augment(stage, config, data, epoch, b, idx))
                 out.flush()
     return 0
 
@@ -182,14 +182,17 @@ def _helper_thread():
 @contextlib.contextmanager
 def _stage_views(stage, config, data, epochs):
     """Yield ``(views, split)``: ``views(epoch, batch, idx)`` gives the two
-    augmented views of each batch of ``epochs``, asked for in batch order,
-    and ``split`` is the stage's helper (:func:`_helper_thread`) or None.
+    augmented views of each batch of ``epochs`` stacked in one (2N, d)
+    array, the forward pass's input and the one copy a step keeps of them,
+    asked for in batch order; ``split`` is the stage's helper
+    (:func:`_helper_thread`) or None.
 
     On Linux with at least 2 usable CPUs, and when the thread count of
     numpy's OpenBLAS can be set, one forked producer (:func:`_send_views`)
     augments the batches ahead of training and views are read from its
-    pipe; for the whole stage this process runs BLAS on at most one thread
-    fewer than the usable CPUs, so the producer keeps a CPU.
+    pipe straight into that array; for the whole stage this process runs
+    BLAS on at most one thread fewer than the usable CPUs, so the producer
+    keeps a CPU.
     Otherwise, and from the batch where a producer fails or if none could
     be started, views are computed here.  When the stage runs BLAS on one
     thread and its stacked batch has at least ``_HELPER_MIN_ROWS`` rows, a
@@ -208,10 +211,10 @@ def _stage_views(stage, config, data, epochs):
 
     def views(epoch, batch, idx):
         if children:
-            y = np.empty((2, len(idx), data.d))
+            x = np.empty((2 * len(idx), data.d))
             try:
-                data_io._read_exact(children[0][1], y)
-                return y[0], y[1]
+                data_io._read_exact(children[0][1], x)
+                return x
             except EOFError:  # the producer died: the rest is computed here
                 data_io._reap(children)
         return here(epoch, batch, idx)
@@ -245,11 +248,11 @@ def _model_dims(config: TrainConfig, data: Dataset) -> ModelDims:
     )
 
 
-def _batch_forward(params, x_a, x_b, stage, epoch, batch, idx):
-    """``forward`` on both views stacked.  A zero-norm instance embedding is
-    re-raised naming the stage, epoch, batch, view and dataset row."""
+def _batch_forward(params, x, stage, epoch, batch, idx):
+    """``forward`` on the stacked views ``x``.  A zero-norm instance embedding
+    is re-raised naming the stage, epoch, batch, view and dataset row."""
     try:
-        return forward(params, np.vstack([x_a, x_b]))
+        return forward(params, x)
     except DegenerateRowError as exc:
         n = len(idx)
         row = int(idx[exc.row % n])
@@ -297,12 +300,13 @@ def _cluster_objective(c, n, tau_c, epoch, batch):
 def _run_epoch(stage, params, state, config, data, epoch, views, split=None):
     """One pass over the stage's shuffled batches; params are updated only when
     an Adam state is given.  ``views(epoch, batch, idx)`` gives each batch's
-    augmented views and ``split`` is the stage's helper (:func:`_stage_views`).
-    Returns (params, state, mean loss, mean positive pairs)."""
+    stacked views and ``split`` is the stage's helper (:func:`_stage_views`).
+    A step keeps those views, the forward cache (one activation per encoder
+    layer, z and c) and one 2N x 2N buffer; README "Memory" gives the train
+    process's peak.  Returns (params, state, mean loss, mean positive pairs)."""
     losses, pairs = [], []
     for b, idx in _epoch_batches(config.seed, stage, epoch, data.n, config.batch_size):
-        x_a, x_b = views(epoch, b, idx)
-        cache = _batch_forward(params, x_a, x_b, stage, epoch, b, idx)
+        cache = _batch_forward(params, views(epoch, b, idx), stage, epoch, b, idx)
         if stage == STAGE_INIT:
             loss_inst, d_s, count = instance_objective(
                 cache.z, config.tau_I, config.zeta, split=split
@@ -327,6 +331,9 @@ def _run_epoch(stage, params, state, config, data, epoch, views, split=None):
             params, state = adam_step(params, grads, state, lr=lr)
         losses.append(loss)
         pairs.append(count)
+        # Freed before the next batch allocates: alive, these arrays can split
+        # the free space the next 2N x 2N buffer would reuse, and the heap grows.
+        del cache, d_z
     return params, state, float(np.mean(losses)), float(np.mean(pairs))
 
 

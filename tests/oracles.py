@@ -11,6 +11,7 @@ import csv
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -303,6 +304,74 @@ def cluster_probabilities_reference(params, x):
         if k < len(layers) - 1:
             np.maximum(a, 0.0, out=a)
     return row_softmax_reference(a)
+
+
+def _chain_forward_reference(layers, x, relu_last):
+    pres = []
+    a = x
+    last = len(layers) - 1
+    for k, layer in enumerate(layers):
+        pre = a @ layer.weight + layer.bias
+        pres.append(pre)
+        a = np.maximum(pre, 0.0) if (k < last or relu_last) else pre
+    return pres, a
+
+
+def forward_reference(params, x):
+    """``model.forward`` as a chain of layers per segment that keeps every
+    pre-activation, before its cache was cut to what backward reads.  Rows
+    must have a nonzero instance embedding."""
+    encoder_pre, h = _chain_forward_reference(params.encoder, x, relu_last=True)
+    instance_pre, y_z = _chain_forward_reference(params.instance_head, h, relu_last=False)
+    cluster_pre, y_c = _chain_forward_reference(params.cluster_head, h, relu_last=False)
+    z_norms = np.linalg.norm(y_z, axis=1)
+    return SimpleNamespace(
+        x=x,
+        encoder_pre=encoder_pre,
+        h=h,
+        instance_pre=instance_pre,
+        z_norms=z_norms,
+        z=y_z / z_norms[:, None],
+        cluster_pre=cluster_pre,
+        c=row_softmax_reference(y_c),
+    )
+
+
+def _chain_backward_reference(layers, grads, pres, x, d_out, relu_last=False):
+    last = len(layers) - 1
+    da = d_out
+    for k in range(last, -1, -1):
+        d_pre = da * (pres[k] > 0) if (k < last or relu_last) else da
+        a_in = np.maximum(pres[k - 1], 0.0) if k > 0 else x
+        np.matmul(a_in.T, d_pre, out=grads[k].weight)
+        d_pre.sum(axis=0, out=grads[k].bias)
+        da = d_pre @ layers[k].weight.T
+    return da
+
+
+def backward_reference(params, ref, grad_z, grad_c):
+    """``model.backward`` on a :func:`forward_reference` pass, chain by chain,
+    down to the gradient w.r.t. the input, which it drops."""
+    zdot = (grad_z * ref.z).sum(axis=1, keepdims=True)
+    d_yz = (grad_z - zdot * ref.z) / ref.z_norms[:, None]
+    grads = replace(params, flat=np.empty_like(params.flat))
+    dh = _chain_backward_reference(
+        params.instance_head, grads.instance_head, ref.instance_pre, ref.h, d_yz
+    )
+    if grad_c is None:
+        for layer in grads.cluster_head:
+            layer.weight[...] = 0.0
+            layer.bias[...] = 0.0
+    else:
+        cdot = (grad_c * ref.c).sum(axis=1, keepdims=True)
+        d_yc = ref.c * (grad_c - cdot)
+        dh = dh + _chain_backward_reference(
+            params.cluster_head, grads.cluster_head, ref.cluster_pre, ref.h, d_yc
+        )
+    _chain_backward_reference(
+        params.encoder, grads.encoder, ref.encoder_pre, ref.x, dh, relu_last=True
+    )
+    return grads
 
 
 def grad_check(

@@ -447,6 +447,66 @@ class TestSweep:
         assert exc.value.code == 2
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "values, seeds, named",
+        [
+            ("0.6000001,0.6000002", "0", "--values: runs would share a directory: "
+             "0.6000001, 0.6000002 -> zeta=0.6"),
+            ("0.5", "0,0", "--seeds: runs would share a directory: 0, 0 -> seed=0"),
+        ],
+    )
+    def test_runs_sharing_a_directory_are_usage_errors(
+        self, tmp_path, blobs_csv, capsys, values, seeds, named
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "sweep",
+                    "--param", "zeta",
+                    "--values", values,
+                    "--seeds", seeds,
+                    "--data", str(blobs_csv),
+                    "--label-column", "label",
+                    "--out", str(tmp_path / "s"),
+                    *FAST_SWEEP,
+                ]
+            )
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_aggregate_and_curves_columns_are_pinned(self, tmp_path, blobs_csv, monkeypatch):
+        import crossclust.cli as cli_mod
+        from crossclust.trainer import EpochRecord, write_history
+
+        def fixed_history(config, data_path, label_column, out_dir):
+            out_dir.mkdir(parents=True)
+            records = [
+                EpochRecord("init", 1, 2.5, 1.0, acc=0.5, nmi=0.25, ari=0.125),
+                EpochRecord("c3", 0, -1.5, 3.0, acc=0.6, nmi=0.3, ari=0.2),
+                EpochRecord("c3", 1, -2.5, 4.5, acc=0.7, nmi=0.4, ari=0.35),
+            ]
+            write_history(records, out_dir / "history.jsonl")
+
+        monkeypatch.setattr(cli_mod, "_run_training", fixed_history)
+        out = tmp_path / "sweep"
+        args = ["--param", "gamma", "--values", "0.5", "--seeds", "3", "--data", str(blobs_csv)]
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        header, row = (out / "aggregate.csv").read_text().splitlines()
+        assert header == (
+            "param,value,seed,status,epoch0_acc,epoch0_nmi,epoch0_ari,epoch0_avg_positive_pairs,"
+            "final_acc,final_nmi,final_ari,final_avg_positive_pairs,final_loss,run_dir"
+        )
+        run_dir = out / "gamma=0.5" / "seed=3"
+        assert row == f"gamma,0.5,3,ok,0.6,0.3,0.2,3.0,0.7,0.4,0.35,4.5,-2.5,{run_dir}"
+        curves = (out / "curves.csv").read_text().splitlines()
+        assert curves[0] == "param,value,seed,stage,epoch,loss,pos_pairs,acc,nmi,ari"
+        assert curves[1:] == [
+            "gamma,0.5,3,init,1,2.5,1.0,0.5,0.25,0.125",
+            "gamma,0.5,3,c3,0,-1.5,3.0,0.6,0.3,0.2",
+            "gamma,0.5,3,c3,1,-2.5,4.5,0.7,0.4,0.35",
+        ]
+
     def test_values_obey_the_ranges_of_train(self, tmp_path, blobs_csv):
         # any positive gamma trains, as with `train --gamma`
         out = tmp_path / "sweep"

@@ -4,7 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import cluster_probabilities_reference, grad_check
+from oracles import (
+    backward_reference,
+    cluster_probabilities_reference,
+    forward_reference,
+    grad_check,
+)
 
 import crossclust.model as model
 from crossclust.errors import ConfigError, NonFiniteError, ShapeError
@@ -26,6 +31,7 @@ SMALL_DIMS = ModelDims(input_dim=6, encoder_hidden=(16, 8), z_dim=4, num_cluster
 ODD_DIMS = ModelDims(input_dim=17, encoder_hidden=(33, 9), z_dim=4, num_clusters=3)
 PROTOCOL_DIMS = ModelDims(input_dim=32, encoder_hidden=(128, 64), z_dim=32, num_clusters=5)
 ALL_DIMS = [SMALL_DIMS, ODD_DIMS, PROTOCOL_DIMS]
+DEFAULT_DIMS = ModelDims(input_dim=32)
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.json"
 
 
@@ -127,6 +133,58 @@ class TestForward:
         np.testing.assert_array_equal(c1.z, c2.z)
         np.testing.assert_array_equal(c1.c, c2.c)
         np.testing.assert_array_equal(c1.h, c2.h)
+
+
+def with_random_biases(params, seed):
+    """``params`` with every bias drawn at random: a row whose last hidden
+    activation is all zero still gets a nonzero instance embedding."""
+    rng = np.random.default_rng(seed)
+    params = replace(params, flat=params.flat.copy())
+    for name, arr in params.named_arrays():
+        if name.endswith(".bias"):
+            arr[...] = rng.normal(scale=0.1, size=arr.shape)
+    return params
+
+
+def assert_same_bits(got, want, name):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+
+
+class TestReferencePins:
+    """forward and backward keep the bits of the chain-based pass that kept
+    every pre-activation and formed the gradient w.r.t. x."""
+
+    @pytest.mark.parametrize("dims", [SMALL_DIMS, DEFAULT_DIMS], ids=["small", "default"])
+    @pytest.mark.parametrize("n2", [2, 16, 130, 256, 1000, 1024])
+    def test_same_bits_as_the_chain_reference(self, dims, n2):
+        rng = np.random.default_rng(n2)
+        p = with_random_biases(init_params(n2, dims), seed=n2)
+        x = rng.normal(size=(n2, dims.input_dim))
+        cache, ref = forward(p, x), forward_reference(p, x)
+        for name in ("z", "c", "h"):
+            assert_same_bits(getattr(cache, name), getattr(ref, name), name)
+        assert 0 < (cache.h > 0).mean() < 1  # the ReLU masks are not trivial
+        g_z, g_c = rng.normal(size=cache.z.shape), rng.normal(size=cache.c.shape)
+        for grad_c in (g_c, None):
+            got = backward(p, cache, g_z, grad_c)
+            want = backward_reference(p, ref, g_z, grad_c)
+            assert_same_bits(got.flat, want.flat, f"grads, grad_c given: {grad_c is not None}")
+
+    def test_cache_holds_only_what_backward_reads(self):
+        # x, one activation per encoder layer, z, z_norms and c: no
+        # pre-activation, no separate h, no head pre-output
+        dims, n2 = DEFAULT_DIMS, 1024
+        x = np.random.default_rng(0).normal(size=(n2, dims.input_dim))
+        cache = forward(with_random_biases(init_params(0, dims), seed=0), x)
+        held = {}
+        for value in vars(cache).values():
+            for arr in value if isinstance(value, list) else [value]:
+                while arr.base is not None:
+                    arr = arr.base
+                held[id(arr)] = arr.nbytes
+        widths = [dims.input_dim, *dims.encoder_hidden, dims.z_dim, 1, dims.num_clusters]
+        assert sum(held.values()) == n2 * 8 * sum(widths)
+        assert cache.x is x and cache.h is cache.acts[-1]
 
 
 def widest(dims):

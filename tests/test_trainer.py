@@ -188,6 +188,32 @@ class TestStepMemory:
         assert len(records) == 2
         assert peak < 16 * 2**20
 
+    def test_no_array_of_a_step_is_alive_when_the_next_asks_for_its_views(self):
+        # alive into the next step, the previous step's views, activations and
+        # embedding gradient can split the free space the next 2N x 2N buffer
+        # would reuse; at batch 512 that raised the train process's peak RSS
+        import crossclust.trainer as trainer
+
+        data = generate_blobs(seed=1, n=1024, d=32, clusters=5, separation=6.0, sigma=1.0)
+        cfg = TrainConfig(M=5, batch_size=256, seed=1)
+        params = init_params(0, ModelDims(input_dim=32, num_clusters=5))
+        alive = []
+
+        def views(epoch, batch, idx):
+            alive.append(tracemalloc.get_traced_memory()[0])
+            return trainer._augment(trainer.STAGE_INIT, cfg, data, epoch, batch, idx)
+
+        state = trainer.AdamState.zeros(params)
+        tracemalloc.start()
+        try:
+            trainer._run_epoch(trainer.STAGE_INIT, params, state, cfg, data, 1, views)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 4
+        # what may stay: the new parameters, both Adam moments and the
+        # gradient, plus small objects; the step's arrays are over 1 MiB
+        assert max(alive) < 4 * params.flat.nbytes + 2**17
+
 
 @st.composite
 def validated_runs(draw):
