@@ -289,7 +289,8 @@ def cmd_sweep(args, parser) -> int:
         # imported here: it loads multiprocessing, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             results = list(pool.map(_sweep_job, jobs))
     else:
         results = [_sweep_job(job) for job in jobs]

@@ -5,8 +5,8 @@ code paths receive the feature matrix alone.  CSV round trips are bit-exact:
 floats are written with shortest round-trip decimal formatting.
 
 The helpers that fork a process writing into a pipe (:func:`_fork_writer`,
-:func:`_read_exact`, :func:`_reap`) serve both the parallel CSV parse and
-the trainer's augmentation producer.
+:func:`_read_exact`, :func:`_reap`) serve the parallel CSV parse, the
+trainer's augmentation producer and its inference workers.
 """
 
 from __future__ import annotations
@@ -368,12 +368,16 @@ def _fork_writer(write, *args) -> tuple[int, int]:
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (OpenBLAS's)
-            # forks.  Each writer runs only numpy parsing, random draws and
-            # elementwise work: it calls no BLAS, and no lock it takes can
-            # be held by another thread, because forks happen only while
-            # this process runs no Python thread but the main one: the
-            # trainer starts a stage's helper thread after the stage's fork
-            # and joins it before the stage ends.
+            # forks.  The CSV parsers and the augmentation producer run only
+            # numpy parsing, random draws and elementwise work and call no
+            # BLAS; the inference workers of trainer.predict do, but only
+            # after their parent set OpenBLAS to one thread, so each BLAS
+            # call in the child runs on its one thread.  No lock a
+            # writer takes can be held by another thread, because forks
+            # happen only while this process runs no Python thread but the
+            # main one: the trainer starts a stage's helper thread after
+            # the stage's fork and joins it before the stage ends, and
+            # predict forks only while no other thread is alive.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:

@@ -48,9 +48,8 @@ def contingency_table(pred: Partition, truth: Partition) -> np.ndarray:
     """Counts matrix C[i, j] = #samples with pred label i and truth label j."""
     if len(pred) != len(truth):
         raise ShapeError(f"partition lengths differ: {len(pred)} vs {len(truth)}")
-    table = np.zeros((pred.num_clusters, truth.num_clusters), dtype=np.int64)
-    np.add.at(table, (pred.labels, truth.labels), 1)
-    return table
+    p, t = pred.num_clusters, truth.num_clusters
+    return np.bincount(pred.labels * t + truth.labels, minlength=p * t).reshape(p, t)
 
 
 def _solve_assignment(cost: np.ndarray):

@@ -192,6 +192,11 @@ def _row_blocks(n: int, width: int):
     return [slice(r0, r1) for r0, r1 in zip(bounds[:-1], bounds[1:])]
 
 
+def _cluster_blocks(dims: ModelDims, n: int):
+    """The row blocks :func:`cluster_probabilities` and :func:`cluster_labels` walk."""
+    return _row_blocks(n, max(*dims.encoder_hidden, dims.num_clusters))
+
+
 def cluster_probabilities(params: ModelParams, x) -> Matrix:
     """c = softmax(cluster_head(f(x))) alone: the instance head is never evaluated.
 
@@ -203,14 +208,38 @@ def cluster_probabilities(params: ModelParams, x) -> Matrix:
     embedding is zero (which ``forward`` cannot normalize).
     """
     x = _input_matrix(params, x)
-    dims = params.dims
-    blocks = _row_blocks(x.shape[0], max(*dims.encoder_hidden, dims.num_clusters))
+    blocks = _cluster_blocks(params.dims, x.shape[0])
     if len(blocks) < 2:
         return _cluster_pass(params, x)
-    out = np.empty((x.shape[0], dims.num_clusters))
+    out = np.empty((x.shape[0], params.dims.num_clusters))
     for rows in blocks:
         out[rows] = _cluster_pass(params, x[rows])
     return out
+
+
+def cluster_labels(params: ModelParams, x) -> np.ndarray:
+    """Hard labels as int64: the argmax of each row of
+    ``cluster_probabilities(params, x)``, ties to the lowest index.
+
+    Computed block by block over the same blocks, so the labels are the
+    same, but no (n, M) matrix is built.
+    """
+    x = _input_matrix(params, x)
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    for rows in _cluster_blocks(params.dims, x.shape[0]):
+        np.argmax(_cluster_pass(params, x[rows]), axis=1, out=labels[rows])
+    return labels
+
+
+def label_parts(dims: ModelDims, n: int, parts: int) -> list[slice]:
+    """Split ``range(n)`` into at most ``parts`` runs of whole row blocks, about
+    equal in block count.  Each part's blocks are those the whole input is
+    walked in, so :func:`cluster_labels` of a part's rows gives the labels
+    that of all ``n`` rows gives there."""
+    blocks = _cluster_blocks(dims, n)
+    parts = min(parts, len(blocks))
+    cuts = [blocks[len(blocks) * k // parts].start for k in range(parts)] + [n]
+    return [slice(r0, r1) for r0, r1 in zip(cuts[:-1], cuts[1:])]
 
 
 def _cluster_pass(params: ModelParams, x) -> Matrix:
@@ -308,9 +337,15 @@ def adam_step(
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a versioned JSON checkpoint that round-trips bit-exactly."""
+    """Write a versioned JSON checkpoint that round-trips bit-exactly.
+
+    The file is ``json.dumps`` of ``{"format_version", "dims", "blocks": {name:
+    {"shape", "data"}}}``, byte for byte, but it is encoded and written one
+    parameter block at a time, so no more than one block's list and text are
+    alive at once.
+    """
     dims = params.dims
-    payload = {
+    head = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dims": {
             "input_dim": dims.input_dim,
@@ -318,19 +353,21 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "z_dim": dims.z_dim,
             "num_clusters": dims.num_clusters,
         },
-        "blocks": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in params.named_arrays()
-        },
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(json.dumps(head)[:-1] + ', "blocks": {')
+        for k, (name, arr) in enumerate(params.named_arrays()):
+            block = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            out.write((", " if k else "") + json.dumps(name) + ": " + json.dumps(block))
+        out.write("}}")
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     A file that is not a checkpoint (not UTF-8 JSON, a missing key or field,
-    a block of the wrong shape) raises :class:`ConfigError` naming the path.
+    a block of the wrong shape or with a non-finite value) raises
+    :class:`ConfigError` naming the path.
     """
     try:
         return _params_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
@@ -362,5 +399,7 @@ def _params_from_payload(payload) -> ModelParams:
         data = np.asarray(block["data"], dtype=np.float64).reshape(block["shape"])
         if data.shape != arr.shape:
             raise ValueError(f"block '{name}' has shape {data.shape}, expected {arr.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"block '{name}' holds a non-finite value")
         arr[...] = data
     return params

@@ -22,7 +22,9 @@ fewer than the usable CPUs (:func:`_stage_views`).  Elsewhere, or once a
 producer fails, views are computed in-process, with the same bits.  When
 that leaves OpenBLAS one thread and the batch is large, one helper thread
 computes half of each step's pairwise rows and one of its two chain
-products (:func:`_helper_thread`), again with the same bits.
+products (:func:`_helper_thread`), again with the same bits.  Labels of a
+large input are computed in forked workers, one per usable CPU
+(:func:`predict`).
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ from .model import (
     ModelParams,
     adam_step,
     backward,
-    cluster_probabilities,
+    cluster_labels,
     forward,
     init_params,
+    label_parts,
 )
 from .numerics import entropy, openblas
 
@@ -62,6 +65,9 @@ _STAGE_IDS = {"params": 0, STAGE_INIT: 1, STAGE_C3: 2}
 # The smallest stacked batch 2N whose steps a helper thread makes faster
 # (README, "Processes and threads").
 _HELPER_MIN_ROWS = 768
+# The fewest input rows whose labels forked workers compute faster than one
+# process, in a fresh `crossclust eval` (README, "Processes and threads").
+_PARALLEL_MIN_ROWS = 32768
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,55 @@ def _batch_forward(params, x, stage, epoch, batch, idx):
         ) from None
 
 
+def _send_labels(fd, params, x) -> int:
+    """Worker side of :func:`predict`: write ``cluster_labels(params, x)`` to
+    ``fd`` as int64.  Returns the exit status, 0."""
+    with open(fd, "wb") as out:
+        out.write(cluster_labels(params, x))
+    return 0
+
+
 def predict(params: ModelParams, x) -> Partition:
-    """Hard cluster labels: argmax of the assignment probabilities, ties to the lowest index."""
-    labels = np.argmax(cluster_probabilities(params, x), axis=1)
-    return Partition(labels, params.dims.num_clusters)
+    """Hard cluster labels: argmax of the assignment probabilities, ties to the
+    lowest index (:func:`cluster_labels`).
+
+    An input of at least ``_PARALLEL_MIN_ROWS`` rows is labelled with numpy's
+    OpenBLAS on one thread, when its thread count can be set, so that its
+    labels do not depend on how many CPUs or threads there are.  On Linux
+    with at least 2 usable CPUs, and while no Python thread but the main one
+    is alive, its rows are then split into one part per usable CPU
+    (:func:`label_parts`): forked workers label every part but the first,
+    which this process labels, and send their labels down pipes.  A part
+    whose worker could not be started or died is labelled here.  Labels and
+    errors are those of the one-process path.  Every worker is reaped, and
+    the thread count restored, on every exit.
+    """
+    m = params.dims.num_clusters
+    x = np.asarray(x, dtype=np.float64)
+    blas = openblas() if x.ndim == 2 and len(x) >= _PARALLEL_MIN_ROWS else None
+    if blas is None:
+        return Partition(cluster_labels(params, x), m)
+    cpus = data_io._usable_cpus() if threading.active_count() == 1 else 1
+    parts = label_parts(params.dims, len(x), cpus)
+    labels = np.empty(len(x), dtype=np.int64)
+    threads, children = blas.get_threads(), []
+    try:
+        blas.set_threads(1)
+        with contextlib.suppress(OSError):  # no process or pipe to spare
+            for rows in parts[1:]:
+                children.append(data_io._fork_writer(_send_labels, params, x[rows]))
+        for k, rows in enumerate(parts):
+            if 0 < k <= len(children):
+                try:
+                    data_io._read_exact(children[k - 1][1], labels[rows])
+                    continue
+                except EOFError:  # the worker died: its part is labelled here
+                    pass
+            labels[rows] = cluster_labels(params, x[rows])
+    finally:
+        data_io._reap(children)
+        blas.set_threads(threads)
+    return Partition(labels, m)
 
 
 def evaluate(params: ModelParams, data: Dataset) -> dict:

@@ -196,6 +196,19 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert set(out) >= {"acc", "nmi", "ari", "cluster_sizes"}
 
+    def test_non_finite_checkpoint_is_refused(self, trained_dir, blobs_csv, tmp_path, capsys):
+        checkpoint = trained_dir / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["blocks"]["encoder.0.weight"]["data"][0] = float("nan")
+        payload["blocks"]["cluster_head.0.bias"]["data"][0] = float("inf")
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        args = ["eval", "--checkpoint", str(edited), "--data", str(blobs_csv)]
+        assert main([*args, "--label-column", "label"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{edited}: block 'encoder.0.weight' holds a non-finite value" in captured.err
+
     def test_unlabeled_report_notes_missing_metrics(self, trained_dir, blobs_csv, tmp_path, capsys):
         from crossclust.data import save_csv
 
@@ -400,6 +413,40 @@ class TestSweep:
         assert all(a >= b for a, b in zip(pairs, pairs[1:])), pairs
         assert pairs[0] == 2 * 16 - 1  # everything positive at zeta=-1
         assert pairs[-1] == 1.0  # twins only at zeta=1
+
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, blobs_csv, monkeypatch):
+        # with the fork start method a pool starts all its workers at the
+        # first submit; this stub starts none and runs the jobs here
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = [
+            "sweep",
+            "--param", "gamma",
+            "--values", "0.1,1.0",
+            "--seeds", "0",
+            "--data", str(blobs_csv),
+            "--label-column", "label",
+            *FAST_SWEEP,
+        ]  # fmt: skip
+        for jobs in ("2", "64"):
+            assert main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert sizes == [2, 2]
 
     def test_parallel_jobs_match_sequential(self, tmp_path, blobs_csv):
         import csv as csv_mod

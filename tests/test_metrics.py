@@ -31,6 +31,19 @@ class TestContingency:
         assert table.sum() == 4
         np.testing.assert_array_equal(table, [[1, 1], [0, 2]])
 
+    @pytest.mark.parametrize("p_clusters, t_clusters", [(1, 1), (3, 3), (2, 6), (7, 3)])
+    @pytest.mark.parametrize("n", [0, 1, 5, 200])
+    def test_equals_add_at_counts(self, n, p_clusters, t_clusters):
+        # few rows over many clusters leave some rows and columns empty
+        rng = np.random.default_rng(n + p_clusters)
+        p = Partition(rng.integers(0, p_clusters, size=n), p_clusters)
+        t = Partition(rng.integers(0, t_clusters, size=n), t_clusters)
+        want = np.zeros((p_clusters, t_clusters), dtype=np.int64)
+        np.add.at(want, (p.labels, t.labels), 1)
+        table = contingency_table(p, t)
+        assert table.dtype == np.int64 and table.shape == want.shape
+        np.testing.assert_array_equal(table, want)
+
     def test_length_mismatch(self):
         p, t = Partition.from_labels([0, 1]), Partition.from_labels([0, 1, 0])
         with pytest.raises(ShapeError):

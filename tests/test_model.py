@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -19,9 +20,11 @@ from crossclust.model import (
     ModelDims,
     adam_step,
     backward,
+    cluster_labels,
     cluster_probabilities,
     forward,
     init_params,
+    label_parts,
     load_checkpoint,
     save_checkpoint,
 )
@@ -235,6 +238,28 @@ class TestClusterProbabilities:
             assert all(rows.stop - rows.start > 1 for rows in blocks) or n == 1
             assert all(rows.stop - rows.start <= step + 1 for rows in blocks)
 
+    @pytest.mark.parametrize("offset", [0, 1, 3], ids=["whole_blocks", "one_row_tail", "short_tail"])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7, 50])
+    def test_parts_are_runs_of_whole_blocks_with_the_labels_of_the_whole(
+        self, monkeypatch, parts, offset
+    ):
+        monkeypatch.setattr(model, "_BLOCK_ENTRIES", 8 * widest(ODD_DIMS))
+        p = init_params(4, ODD_DIMS)
+        n = 6 * 8 + offset
+        x = np.random.default_rng(parts).normal(size=(n, ODD_DIMS.input_dim))
+        whole = cluster_labels(p, x)
+        np.testing.assert_array_equal(whole, np.argmax(cluster_probabilities(p, x), axis=1))
+        assert whole.dtype == np.int64
+        starts = {rows.start for rows in model._row_blocks(n, widest(ODD_DIMS))}
+        got = label_parts(ODD_DIMS, n, parts)
+        assert len(got) == min(parts, len(starts))
+        assert [rows.start for rows in got] == [0, *(rows.stop for rows in got[:-1])]
+        assert got[-1].stop == n and {rows.start for rows in got} <= starts
+        sizes = [rows.stop - rows.start for rows in got[:-1]]
+        assert max(sizes, default=0) - min(sizes, default=0) <= 8
+        for rows in got:
+            np.testing.assert_array_equal(cluster_labels(p, x[rows]), whole[rows])
+
     def test_memory_stays_below_one_full_activation(self):
         # one 20 000 x 128 float64 activation is 20.48 MB; blocks keep far less alive
         p = init_params(0, PROTOCOL_DIMS)
@@ -445,6 +470,45 @@ class TestCheckpoint:
         assert p.flat.size == p.num_parameters() == SMALL_DIMS.num_parameters()
         with pytest.raises(ShapeError, match="flat"):
             replace(p, flat=p.flat[:-1])
+
+    @pytest.mark.parametrize("dims", [SMALL_DIMS, DEFAULT_DIMS], ids=["small", "default"])
+    def test_file_is_json_dumps_of_the_payload_byte_for_byte(self, tmp_path, dims):
+        import json
+
+        p = init_params(5, dims)
+        p.flat[:3] = [-0.0, 5e-324, 1e16]
+        p.flat[-3:] = [1e-300, -2.5e-310, 0.1]
+        payload = {
+            "format_version": model.CHECKPOINT_FORMAT_VERSION,
+            "dims": {
+                "input_dim": dims.input_dim,
+                "encoder_hidden": list(dims.encoder_hidden),
+                "z_dim": dims.z_dim,
+                "num_clusters": dims.num_clusters,
+            },
+            "blocks": {
+                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                for name, arr in p.named_arrays()
+            },
+        }
+        path = tmp_path / "model.json"
+        save_checkpoint(p, path)
+        assert path.read_bytes() == json.dumps(payload).encode("utf-8")
+        assert load_checkpoint(path).flat.tobytes() == p.flat.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, value", [("encoder.0.weight", "nan"), ("cluster_head.0.bias", "inf")]
+    )
+    def test_rejects_non_finite_value_naming_path_and_block(self, tmp_path, name, value):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(0, SMALL_DIMS), path)
+        payload = json.loads(path.read_text())
+        payload["blocks"][name]["data"][1] = float(value)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: block '{name}'.*non-finite"):
+            load_checkpoint(path)
 
     def test_rejects_unknown_version(self, tmp_path):
         p = init_params(0, SMALL_DIMS)

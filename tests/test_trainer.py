@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import os
 import re
 import signal
@@ -21,7 +22,7 @@ from crossclust.data import Dataset, generate_blobs, load_csv, save_csv
 from crossclust.errors import ConfigError, CrossclustError, DegenerateRowError, NonFiniteError
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
-from crossclust.model import ModelDims, backward, forward, init_params
+from crossclust.model import ModelDims, backward, cluster_probabilities, forward, init_params
 from crossclust.numerics import openblas, similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
@@ -837,3 +838,165 @@ class TestStageHelper:
                 split(lambda: {}["missing"], slow)
             assert done == [True]
         assert_main_thread_only()
+
+
+BLOCK_ROWS = 8  # rows per label block in the tests below
+
+
+@functools.cache
+def label_params(m):
+    """Briefly trained parameters, which give random rows varied labels."""
+    data = generate_blobs(seed=m, n=64, d=6, clusters=m, separation=6.0, sigma=1.0)
+    cfg = SMALL_CFG.override(M=m, init_epochs=2, c3_epochs=0)
+    return train_init(cfg, data)[0]
+
+
+def label_rows(n, seed=0):
+    return 2.0 * np.random.default_rng(seed).normal(size=(n, 6))
+
+
+def parallel_labels(monkeypatch, cpus=None) -> list:
+    """Label in blocks of ``BLOCK_ROWS`` rows from the first row on, with
+    ``cpus`` usable CPUs (the real count when None); returns the list of
+    processes forked, as :func:`count_producers` does."""
+    import crossclust.model as model
+    import crossclust.trainer as trainer
+
+    monkeypatch.setattr(model, "_BLOCK_ENTRIES", BLOCK_ROWS * max(SMALL_CFG.dims.hidden))
+    monkeypatch.setattr(trainer, "_PARALLEL_MIN_ROWS", 1)
+    return count_producers(monkeypatch, cpus=cpus)
+
+
+def one_thread_labels(params, x):
+    """Labels of the one-process path on one OpenBLAS thread."""
+    before = BLAS.get_threads()
+    try:
+        BLAS.set_threads(1)
+        return np.argmax(cluster_probabilities(params, x), axis=1)
+    finally:
+        BLAS.set_threads(before)
+
+
+def watch_blas_in_parent(monkeypatch, fail=None) -> list:
+    """Return the list that gets the BLAS thread count each time this
+    process labels a part; ``fail`` is then raised there, if given."""
+    import crossclust.trainer as trainer
+
+    parent, labels, seen = os.getpid(), trainer.cluster_labels, []
+
+    def watched(params, x):
+        if os.getpid() == parent:
+            seen.append(BLAS.get_threads())
+            if fail is not None:
+                raise fail
+        return labels(params, x)
+
+    monkeypatch.setattr(trainer, "cluster_labels", watched)
+    return seen
+
+
+class TestInferenceWorkers:
+    @needs_blas
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize(
+        "n", [3 * BLOCK_ROWS, 6 * BLOCK_ROWS + 3, 6 * BLOCK_ROWS + 1],
+        ids=["whole_blocks", "short_tail", "one_row_tail"],
+    )  # fmt: skip
+    def test_same_labels_as_one_process_on_one_thread(self, monkeypatch, m, cpus, n):
+        params, x = label_params(m), label_rows(n, seed=n)
+        want = one_thread_labels(params, x)
+        assert len(set(want.tolist())) > 1
+        forked = parallel_labels(monkeypatch, cpus)
+        before = BLAS.get_threads()
+        got = predict(params, x)
+        assert forked == ["_send_labels"] * (cpus - 1)
+        np.testing.assert_array_equal(got.labels, want)
+        assert got.labels.dtype == np.int64 and got.num_clusters == m
+        assert BLAS.get_threads() == before
+        assert_no_child_process()
+
+    @needs_blas
+    def test_worker_killed_mid_message_gives_the_same_labels(self, monkeypatch):
+        import crossclust.trainer as trainer
+
+        def dies_mid_message(fd, params, x):
+            os.write(fd, bytes(8 * (len(x) // 2)))  # half of its labels, all 0
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        params, x = label_params(5), label_rows(50, seed=0)
+        want = one_thread_labels(params, x)
+        forked = parallel_labels(monkeypatch, cpus=3)
+        monkeypatch.setattr(trainer, "_send_labels", dies_mid_message)
+        seen = watch_blas_in_parent(monkeypatch)
+        np.testing.assert_array_equal(predict(params, x).labels, want)
+        assert forked == ["dies_mid_message"] * 2
+        assert seen == [1, 1, 1]  # every part was labelled here
+        assert_no_child_process()
+
+    @needs_blas
+    def test_failed_fork_labels_every_part_here(self, monkeypatch):
+        params, x = label_params(5), label_rows(50, seed=1)
+        want = one_thread_labels(params, x)
+        forked = parallel_labels(monkeypatch, cpus=3)
+        forks = []
+
+        def no_process_to_spare():
+            forks.append(None)
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_process_to_spare)
+        seen = watch_blas_in_parent(monkeypatch)
+        before = BLAS.get_threads()
+        np.testing.assert_array_equal(predict(params, x).labels, want)
+        assert len(forked) == 1 and len(forks) == 1  # no fork is tried after one failed
+        assert seen == [1, 1, 1]
+        assert BLAS.get_threads() == before
+
+    @needs_blas
+    @pytest.mark.parametrize("ending", ["completes", "error", "interrupt"])
+    def test_no_worker_left_and_blas_restored(self, monkeypatch, ending):
+        fail = {"error": ValueError("labelling failed"), "interrupt": KeyboardInterrupt()}.get(ending)
+        params, x = label_params(3), label_rows(50, seed=2)
+        forked = parallel_labels(monkeypatch, cpus=3)
+        seen = watch_blas_in_parent(monkeypatch, fail)
+        before = BLAS.get_threads()
+        if fail is None:
+            predict(params, x)
+        else:
+            with pytest.raises(type(fail)):
+                predict(params, x)
+        assert len(forked) == 2 and seen == [1]
+        assert BLAS.get_threads() == before
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "case", ["real_affinity", "one_cpu", "second_thread", "no_blas", "few_rows"]
+    )
+    def test_forks_only_with_two_cpus_settable_blas_one_thread_and_many_rows(
+        self, monkeypatch, case
+    ):
+        import crossclust.trainer as trainer
+
+        params, x = label_params(5), label_rows(50, seed=3)
+        want = np.argmax(cluster_probabilities(params, x), axis=1)
+        forked = parallel_labels(monkeypatch, {"one_cpu": 1, "real_affinity": None}.get(case, 2))
+        if case == "no_blas":
+            monkeypatch.setattr(trainer, "openblas", lambda: None)
+        if case == "few_rows":
+            monkeypatch.setattr(trainer, "_PARALLEL_MIN_ROWS", len(x) + 1)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if case == "second_thread":
+            waiter.start()
+        try:
+            got = predict(params, x)
+        finally:
+            release.set()
+            if case == "second_thread":
+                waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+        workers = min(cpus, 7) - 1 if case == "real_affinity" and BLAS is not None else 0
+        assert forked == ["_send_labels"] * workers
+        np.testing.assert_array_equal(got.labels, want)
