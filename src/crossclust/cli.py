@@ -16,10 +16,10 @@ import time
 from pathlib import Path
 
 from .config import TrainConfig, load_config
-from .data import generate_blobs, load_csv, save_csv, standardize
+from .data import Standardization, generate_blobs, load_csv, save_csv, standardize
 from .errors import ConfigError, CrossclustError
 from .model import load_checkpoint, save_checkpoint
-from .trainer import evaluate, read_history, train, write_history
+from .trainer import evaluate, load_eval_rows, read_history, train, write_history
 
 ENV_OUT_ROOT = "CROSSCLUST_OUT"
 
@@ -107,14 +107,16 @@ def _load_train_config(args, parser) -> TrainConfig:
 
 
 def _run_training(config: TrainConfig, data_path, label_column, out_dir: Path) -> dict:
-    dataset = standardize(load_csv(data_path, label_column=label_column))
+    dataset = load_csv(data_path, label_column=label_column)
+    stats = Standardization.of(dataset)
+    dataset = standardize(dataset, stats)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     params, records = train(config, dataset)
     wall = time.monotonic() - started
     checkpoint = out_dir / "checkpoint.json"
     history_path = out_dir / "history.jsonl"
-    save_checkpoint(params, checkpoint)
+    save_checkpoint(params, checkpoint, stats)
     write_history(records, history_path)
     final = evaluate(params, dataset)
     summary = {
@@ -157,8 +159,15 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    params = load_checkpoint(args.checkpoint)
-    dataset = standardize(load_csv(args.data, label_column=args.label_column))
+    params, stats = load_checkpoint(args.checkpoint, return_standardization=True)
+    if stats is None:
+        _log(
+            f"note: {args.checkpoint} is a format-1 checkpoint without the training statistics; "
+            f"standardizing {args.data} with its own"
+        )
+        dataset = standardize(load_csv(args.data, label_column=args.label_column))
+    else:
+        dataset = load_eval_rows(params, stats, args.data, args.label_column)
     result = evaluate(params, dataset)
     if "acc" not in result:
         _log("dataset has no truth labels; reporting cluster sizes and assignment entropy only")

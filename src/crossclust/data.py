@@ -3,10 +3,13 @@
 Truth labels ride along in :class:`Dataset` for evaluation only; training
 code paths receive the feature matrix alone.  CSV round trips are bit-exact:
 floats are written with shortest round-trip decimal formatting.
+:class:`Standardization` holds a training set's feature statistics, which a
+checkpoint stores so that evaluation shifts and scales rows as training did.
 
 The helpers that fork a process writing into a pipe (:func:`_fork_writer`,
-:func:`_read_exact`, :func:`_reap`) serve the parallel CSV parse, the
-trainer's augmentation producer and its inference workers.
+:func:`_read_exact`, :func:`_reap`) serve the parallel CSV parse (which can
+also label each part's rows, :func:`label_csv`), the trainer's augmentation
+producer and its inference workers.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,20 +70,51 @@ class Dataset:
         return self.X.shape[1]
 
 
-def standardize(dataset: Dataset) -> Dataset:
-    """Shift/scale each feature to zero mean and unit variance.
+class Standardization(NamedTuple):
+    """The per-feature shift and scale of :func:`standardize`: a training set's
+    mean and std, with 1 as the std of a constant feature, and the names of
+    the features they belong to."""
+
+    mean: np.ndarray
+    std: np.ndarray
+    feature_names: tuple[str, ...]
+
+    @classmethod
+    def of(cls, dataset: Dataset) -> "Standardization":
+        """The statistics of ``dataset``'s own features; unnamed features are
+        named as :func:`save_csv` names them."""
+        x = dataset.X
+        mean, std = x.mean(axis=0), x.std(axis=0)
+        names = dataset.feature_names or tuple(f"f{j}" for j in range(dataset.d))
+        return cls(mean, np.where(std == 0.0, 1.0, std), names)
+
+    def apply(self, x, out=None) -> np.ndarray:
+        """``(x - mean) / std`` bit for bit, computed in ``out``: a fresh array
+        by default, or ``x`` itself."""
+        out = np.subtract(x, self.mean, out=out)
+        out /= self.std
+        return out
+
+
+class LabelledRows(NamedTuple):
+    """A CSV's rows as evaluation reads them: each row's int64 cluster label,
+    computed where the row was parsed (:func:`label_csv`), and the truth
+    partition of the label column, if one was named."""
+
+    labels: np.ndarray
+    truth: Partition | None = None
+
+
+def standardize(dataset: Dataset, stats: Standardization | None = None) -> Dataset:
+    """Shift/scale each feature with ``stats``, by default the dataset's own
+    (:meth:`Standardization.of`), which give zero mean and unit variance.
 
     Constant features are left centered but unscaled.  The result is
     ``(X - mean) / std`` bit for bit, computed in its one output buffer;
     ``dataset.X`` is not modified.
     """
-    x = dataset.X
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    out = np.subtract(x, mean)
-    out /= std
-    return replace(dataset, X=out)
+    stats = Standardization.of(dataset) if stats is None else stats
+    return replace(dataset, X=stats.apply(dataset.X))
 
 
 def generate_blobs(
@@ -155,7 +190,9 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
             writer.writerow(row)
 
 
-def load_csv(path, label_column: str | None = None) -> Dataset:
+def load_csv(
+    path, label_column: str | None = None, feature_names: tuple[str, ...] | None = None
+) -> Dataset:
     """Load a headered numeric CSV; map the label column (if named) to a 0-based partition.
 
     A feature cell is one number: an optional sign, then decimal or exponent
@@ -167,6 +204,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     lines are skipped but still counted in row numbers.  A file that is not
     UTF-8, or a header cell longer than ``csv.field_size_limit()``, raises
     :class:`CsvFormatError` naming the path; data cells have no length limit.
+    With ``feature_names``, the header's feature columns must be those names
+    in that order: the first column that differs raises, before any data row
+    is read.
 
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
@@ -180,18 +220,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise CsvFormatError(f"{path} is empty") from None
-            except csv.Error as exc:
-                raise CsvFormatError(f"{path}: {exc}", row=1) from None
-            label_idx = None
-            if label_column is not None:
-                if label_column not in header:
-                    raise CsvFormatError(f"label column '{label_column}' not in header {header}")
-                label_idx = header.index(label_column)
-            feature_idx = [j for j in range(len(header)) if j != label_idx]
+            header, label_idx = _read_header(fh, path, label_column, feature_names)
             parsed = _parse_parallel(path, len(header), label_idx)
             if parsed is None:
                 parsed = _parse_serial(fh, path, len(header), label_idx)
@@ -199,8 +228,58 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
     x, ids, clusters = parsed
     truth = None if ids is None else Partition(ids, clusters)
-    names = tuple(header[j] for j in feature_idx)
+    names = tuple(header[j] for j in range(len(header)) if j != label_idx)
     return Dataset(X=x, truth=truth, feature_names=names)
+
+
+def label_csv(
+    path, label_rows, label_column: str | None = None, feature_names: tuple[str, ...] | None = None
+) -> LabelledRows | None:
+    """Parse a CSV in parts as :func:`load_csv` does, and reduce each part to
+    labels where it is parsed: ``label_rows(x)`` gets the part's feature rows
+    as a fresh (rows, d) float64 array of at least 2 finite rows, which it
+    may overwrite, and returns their int64 labels.  Only labels, label ids
+    and label tokens leave a part.
+
+    Returns None, and the caller loads the file with :func:`load_csv`, which
+    raises the file's error if it has one, unless :func:`load_csv` would
+    parse it in parts and every part succeeded.
+    """
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header, label_idx = _read_header(fh, path, label_column, feature_names)
+    except (CsvFormatError, UnicodeDecodeError):
+        return None
+    parsed = _parse_parallel(path, len(header), label_idx, label_rows)
+    if parsed is None:
+        return None
+    labels, ids, clusters = parsed
+    return LabelledRows(labels, None if ids is None else Partition(ids, clusters))
+
+
+def _read_header(fh, path: Path, label_column: str | None, feature_names) -> tuple[list, int | None]:
+    """Read the header line of ``fh``; returns its cells and the label column's index."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise CsvFormatError(f"{path} is empty") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: {exc}", row=1) from None
+    label_idx = None
+    if label_column is not None:
+        if label_column not in header:
+            raise CsvFormatError(f"label column '{label_column}' not in header {header}")
+        label_idx = header.index(label_column)
+    columns = [j for j in range(len(header)) if j != label_idx]
+    names = [header[j] for j in columns]
+    if feature_names is not None and names != list(feature_names):
+        pairs = enumerate(itertools.zip_longest(names, feature_names))
+        k, (got, want) = next((k, pair) for k, pair in pairs if pair[0] != pair[1])
+        where = f"header has no feature {k + 1}" if got is None else f"header feature {k + 1} is {got!r}"
+        what = f"the checkpoint has {k} features" if want is None else f"the checkpoint's is {want!r}"
+        raise CsvFormatError(f"{where}; {what}", row=1, col=None if got is None else columns[k] + 1)
+    return header, label_idx
 
 
 def _read_table(fh, label_idx: int | None, seen: dict) -> np.ndarray:
@@ -257,6 +336,16 @@ def _usable_cpus() -> int:
     if not sys.platform.startswith("linux"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _part_count(path) -> int:
+    """How many parts :func:`_parse_parallel` splits ``path`` into: one per
+    usable CPU, each of at least ``_PARALLEL_PART_BYTES``; under 2, none.
+    0 for a file that cannot be read, which the one-process parse reports."""
+    try:
+        return min(_usable_cpus(), os.stat(path).st_size // _PARALLEL_PART_BYTES)
+    except OSError:
+        return 0
 
 
 def _part_bounds(path: Path, parts: int) -> list[int]:
@@ -333,25 +422,37 @@ def _read_exact(fd: int, buf) -> None:
         view = view[got:]
 
 
-def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None) -> int:
+def _finish_part(table: np.ndarray, width: int, label_idx: int | None, label_rows):
+    """What a parsed part sends besides its label tokens and ids: its feature
+    rows, or their ``label_rows`` labels (:func:`label_csv`).  None when a
+    feature is not finite, or when a part to label has fewer than 2 rows."""
+    x = table if label_idx is None else table.take([j for j in range(width) if j != label_idx], axis=1)
+    if not np.isfinite(x).all() or (label_rows is not None and len(x) < 2):
+        return None
+    return x if label_rows is None else np.asarray(label_rows(x), dtype=np.int64)
+
+
+def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None, label_rows=None) -> int:
     """Child side of :func:`_parse_parallel`: parse one part and write it to ``fd``.
 
     The message is the row count and the token blob's length (two int64),
-    the pickled label tokens, the feature rows as C-ordered float64, then
-    the part's label ids as int64.  Returns the exit status: 0 once the
-    whole message is written, 1 if the part is not one the parent can use.
+    the pickled label tokens, the part's :func:`_finish_part` output (feature
+    rows as C-ordered float64, or int64 labels), then the part's label ids
+    as int64.  Returns the exit status: 0 once the whole message is written,
+    1 if the part is not one the parent can use.
     """
     part = _parse_part(path, *bounds, width, label_idx)
     if part is None:
         return 1
     table, tokens = part
-    feature_idx = [j for j in range(width) if j != label_idx]
-    x = table if label_idx is None else table.take(feature_idx, axis=1)
+    done = _finish_part(table, width, label_idx, label_rows)
+    if done is None:
+        return 1
     blob = pickle.dumps(tokens)
     with open(fd, "wb") as out:
-        out.write(struct.pack("<qq", len(x), len(blob)))
+        out.write(struct.pack("<qq", len(done), len(blob)))
         out.write(blob)
-        out.write(memoryview(x).cast("B"))
+        out.write(memoryview(done).cast("B"))
         if label_idx is not None:
             out.write(memoryview(table[:, label_idx].astype(np.int64)).cast("B"))
     return 0
@@ -368,16 +469,18 @@ def _fork_writer(write, *args) -> tuple[int, int]:
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (OpenBLAS's)
-            # forks.  The CSV parsers and the augmentation producer run only
-            # numpy parsing, random draws and elementwise work and call no
-            # BLAS; the inference workers of trainer.predict do, but only
-            # after their parent set OpenBLAS to one thread, so each BLAS
-            # call in the child runs on its one thread.  No lock a
+            # forks.  The training CSV parsers and the augmentation producer
+            # run only numpy parsing, random draws and elementwise work and
+            # call no BLAS; the inference workers of trainer.predict and the
+            # parsers that label eval rows (trainer.load_eval_rows) do, but
+            # only after their parent set OpenBLAS to one thread, so each
+            # BLAS call in the child runs on its one thread.  No lock a
             # writer takes can be held by another thread, because forks
             # happen only while this process runs no Python thread but the
             # main one: the trainer starts a stage's helper thread after
             # the stage's fork and joins it before the stage ends, and
-            # predict forks only while no other thread is alive.
+            # predict and load_eval_rows fork only while no other thread is
+            # alive.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
@@ -416,23 +519,26 @@ def _receive_head(fd: int) -> tuple[int, list]:
     return rows, pickle.loads(blob)
 
 
-def _parse_parallel(path: Path, width: int, label_idx: int | None):
+def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=None):
     """Parse the data rows in parts, one per usable CPU, as :func:`_parse_serial` would.
 
     The parent forks one process per part after the first and parses the
     first part itself.  Every part's feature rows land in one preallocated
-    matrix, the others' read from their pipes straight into it.  Label ids
-    are merged in part order, so first-appearance numbering is that of the
-    whole file.
+    matrix, the others' read from their pipes straight into it.  With
+    ``label_rows``, every part, the parent's too, is reduced to its labels
+    where it was parsed (:func:`label_csv`), and the labels land in one
+    int64 vector instead.  Label ids are merged in part order, so
+    first-appearance numbering is that of the whole file.
 
     Returns None, and the caller parses the file in one process, when the
     file is too small for two parts of ``_PARALLEL_PART_BYTES``, or when
     any part fails: a loadtxt error (a bad cell, a ragged row, a decode
     error), a table of the wrong width, a double quote in the data rows, a
-    non-finite cell, no data rows, or a child that died or could not be
-    started.  Every child is reaped before this returns or raises.
+    non-finite cell, no data rows, a part of fewer than 2 rows to label, a
+    ``label_rows`` error, or a child that died or could not be started.
+    Every child is reaped before this returns or raises.
     """
-    parts = min(_usable_cpus(), path.stat().st_size // _PARALLEL_PART_BYTES)
+    parts = _part_count(path)
     if parts < 2:
         return None
     bounds = _part_bounds(path, parts)
@@ -443,7 +549,9 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None):
     try:
         try:
             for part in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_writer(_send_part, path, part, width, label_idx))
+                children.append(
+                    _fork_writer(_send_part, path, part, width, label_idx, label_rows)
+                )
         except OSError:  # no process or pipe to spare
             return None
         try:
@@ -451,15 +559,33 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None):
             if own is None:
                 return None
             table, tokens = own
-            heads = [(len(table), tokens)] + [_receive_head(fd) for _, fd in children]
-        except (ValueError, EOFError):  # the one-process parse raises the file's own error
+            heads = [(len(table), tokens)]
+        except ValueError:  # the one-process parse raises the file's own error
+            return None
+        if label_rows is not None:
+            # labelled before the children's messages are awaited, while they label theirs
+            try:
+                done = _finish_part(table, width, label_idx, label_rows)
+            except (ValueError, ArithmeticError):  # the one-process path raises it, after any CSV error
+                done = None
+            if done is None:
+                return None
+        try:
+            heads += [_receive_head(fd) for _, fd in children]
+        except EOFError:
             return None
         offsets = np.cumsum([0] + [rows for rows, _ in heads]).tolist()
         if offsets[-1] == 0:
             return None
-        feature_idx = [j for j in range(width) if j != label_idx]
-        x = np.empty((offsets[-1], len(feature_idx)))
-        np.take(table, feature_idx, axis=1, out=x[: offsets[1]], mode="clip")  # "raise" would buffer
+        if label_rows is None:
+            feature_idx = [j for j in range(width) if j != label_idx]
+            out = np.empty((offsets[-1], len(feature_idx)))
+            np.take(table, feature_idx, axis=1, out=out[: offsets[1]], mode="clip")  # "raise" would buffer
+            if not np.isfinite(out[: offsets[1]]).all():
+                return None
+        else:
+            out = np.empty(offsets[-1], dtype=np.int64)
+            out[: offsets[1]] = done
         ids = None
         if label_idx is not None:
             ids = np.empty(offsets[-1], dtype=np.int64)
@@ -467,20 +593,18 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None):
         del table
         try:
             for k, (_, fd) in enumerate(children, start=1):
-                _read_exact(fd, x[offsets[k] : offsets[k + 1]])
+                _read_exact(fd, out[offsets[k] : offsets[k + 1]])
                 if ids is not None:
                     _read_exact(fd, ids[offsets[k] : offsets[k + 1]])
         except EOFError:
             return None
-        if not np.isfinite(x).all():
-            return None
         if ids is None:
-            return x, None, 0
+            return out, None, 0
         seen: dict[str, int] = {}
         for (_, tokens), start, stop in zip(heads, offsets, offsets[1:]):
             remap = np.array([seen.setdefault(tok, len(seen)) for tok in tokens], dtype=np.int64)
             ids[start:stop] = remap[ids[start:stop]]
-        return x, ids, len(seen)
+        return out, ids, len(seen)
     finally:
         _reap(children)
 

@@ -24,13 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_positive
+from .data import Standardization
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import Matrix, as_matrix, row_l2_normalize, row_norms, row_softmax
 
-CHECKPOINT_FORMAT_VERSION = 1
-# Activation entries per row block in cluster_probabilities (4 MiB of float64):
-# 4096 rows at a 128-wide layer.
-_BLOCK_ENTRIES = 1 << 19
+# Format 2 stores the training set's Standardization; format 1 has none.
+CHECKPOINT_FORMAT_VERSION = 2
+# Activation entries per row block in cluster_labels (1 MiB of float64):
+# 1024 rows at a 128-wide layer, which label faster than 4096 on one thread
+# (README, "Memory").
+_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -193,36 +196,21 @@ def _row_blocks(n: int, width: int):
 
 
 def _cluster_blocks(dims: ModelDims, n: int):
-    """The row blocks :func:`cluster_probabilities` and :func:`cluster_labels` walk."""
+    """The row blocks :func:`cluster_labels` walks."""
     return _row_blocks(n, max(*dims.encoder_hidden, dims.num_clusters))
-
-
-def cluster_probabilities(params: ModelParams, x) -> Matrix:
-    """c = softmax(cluster_head(f(x))) alone: the instance head is never evaluated.
-
-    More rows than one block (see :func:`_row_blocks`) are evaluated block by
-    block into one (n, M) output, so only one block's activations are alive
-    at a time.  Up to one block of rows this equals ``forward(params, x).c``
-    bit for bit; beyond it a block's products may round differently in the
-    last bit, and the argmax labels are the same.  Takes rows whose instance
-    embedding is zero (which ``forward`` cannot normalize).
-    """
-    x = _input_matrix(params, x)
-    blocks = _cluster_blocks(params.dims, x.shape[0])
-    if len(blocks) < 2:
-        return _cluster_pass(params, x)
-    out = np.empty((x.shape[0], params.dims.num_clusters))
-    for rows in blocks:
-        out[rows] = _cluster_pass(params, x[rows])
-    return out
 
 
 def cluster_labels(params: ModelParams, x) -> np.ndarray:
     """Hard labels as int64: the argmax of each row of
-    ``cluster_probabilities(params, x)``, ties to the lowest index.
+    c = softmax(cluster_head(f(x))), ties to the lowest index.  The instance
+    head is never evaluated, so rows whose instance embedding is zero (which
+    ``forward`` cannot normalize) are labelled too.
 
-    Computed block by block over the same blocks, so the labels are the
-    same, but no (n, M) matrix is built.
+    Computed block by block (see :func:`_row_blocks`), so only one block's
+    activations are alive at a time and no (n, M) matrix is built.  A row's
+    c has the same bits in every block of at least 2 rows it can sit in (the
+    tests pin this), so any run of at least 2 rows is labelled as it is
+    within a larger input.
     """
     x = _input_matrix(params, x)
     labels = np.empty(x.shape[0], dtype=np.int64)
@@ -336,17 +324,22 @@ def adam_step(
     return replace(params, flat=flat), AdamState(m=m, v=v, step=t)
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
+def save_checkpoint(
+    params: ModelParams, path, standardization: Standardization | None = None
+) -> None:
     """Write a versioned JSON checkpoint that round-trips bit-exactly.
 
-    The file is ``json.dumps`` of ``{"format_version", "dims", "blocks": {name:
-    {"shape", "data"}}}``, byte for byte, but it is encoded and written one
-    parameter block at a time, so no more than one block's list and text are
-    alive at once.
+    The file is ``json.dumps`` of ``{"format_version", "dims",
+    "standardization", "blocks": {name: {"shape", "data"}}}``, byte for
+    byte, but it is encoded and written one parameter block at a time, so no
+    more than one block's list and text are alive at once.  With
+    ``standardization``, the training set's statistics, the file is format 2
+    and its ``"standardization"`` entry holds their ``feature_names``,
+    ``mean`` and ``std``; without, it is format 1, which has no such entry.
     """
     dims = params.dims
     head = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "format_version": 1 if standardization is None else CHECKPOINT_FORMAT_VERSION,
         "dims": {
             "input_dim": dims.input_dim,
             "encoder_hidden": list(dims.encoder_hidden),
@@ -354,6 +347,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "num_clusters": dims.num_clusters,
         },
     }
+    if standardization is not None:
+        head["standardization"] = {
+            "feature_names": list(standardization.feature_names),
+            "mean": standardization.mean.tolist(),
+            "std": standardization.std.tolist(),
+        }
     with open(path, "w", encoding="utf-8") as out:
         out.write(json.dumps(head)[:-1] + ', "blocks": {')
         for k, (name, arr) in enumerate(params.named_arrays()):
@@ -362,26 +361,32 @@ def save_checkpoint(params: ModelParams, path) -> None:
         out.write("}}")
 
 
-def load_checkpoint(path) -> ModelParams:
+def load_checkpoint(path, return_standardization: bool = False):
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A file that is not a checkpoint (not UTF-8 JSON, a missing key or field,
-    a block of the wrong shape or with a non-finite value) raises
-    :class:`ConfigError` naming the path.
+    Returns its parameters; with ``return_standardization``, a pair of them
+    and the stored :class:`Standardization` (None for a format-1 file).  A
+    file that is not a checkpoint (not UTF-8 JSON, a missing key or field, a
+    block of the wrong shape or with a non-finite value, statistics that do
+    not fit the input width, or a mean or std that is not finite, or a std
+    that is not positive) raises :class:`ConfigError` naming the path.
     """
     try:
-        return _params_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        params = _params_from_payload(payload)
+        stats = _standardization_from_payload(payload, params.dims.input_dim)
     except KeyError as exc:
         raise ConfigError("checkpoint", f"{path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError("checkpoint", f"{path}: {exc}") from None
+    return (params, stats) if return_standardization else params
 
 
 def _params_from_payload(payload) -> ModelParams:
     if not isinstance(payload, dict):
         raise ValueError("top level is not a JSON object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise ValueError(f"unsupported format_version {version!r}")
     d = payload["dims"]
     dims = ModelDims(
@@ -403,3 +408,23 @@ def _params_from_payload(payload) -> ModelParams:
             raise ValueError(f"block '{name}' holds a non-finite value")
         arr[...] = data
     return params
+
+
+def _standardization_from_payload(payload: dict, input_dim: int) -> Standardization | None:
+    if payload["format_version"] == 1:
+        return None
+    entry = payload["standardization"]
+    names = entry["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError("standardization 'feature_names' is not a list of strings")
+    if len(names) != input_dim:
+        raise ValueError(f"standardization has {len(names)} feature names, expected {input_dim}")
+    values = {key: np.asarray(entry[key], dtype=np.float64) for key in ("mean", "std")}
+    for key, value in values.items():
+        if value.shape != (input_dim,):
+            raise ValueError(f"standardization '{key}' has shape {value.shape}, expected ({input_dim},)")
+        if not np.isfinite(value).all():
+            raise ValueError(f"standardization '{key}' holds a non-finite value")
+    if not (values["std"] > 0.0).all():
+        raise ValueError("standardization 'std' holds a value that is not positive")
+    return Standardization(values["mean"], values["std"], tuple(names))

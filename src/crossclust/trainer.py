@@ -24,7 +24,8 @@ that leaves OpenBLAS one thread and the batch is large, one helper thread
 computes half of each step's pairwise rows and one of its two chain
 products (:func:`_helper_thread`), again with the same bits.  Labels of a
 large input are computed in forked workers, one per usable CPU
-(:func:`predict`).
+(:func:`predict`); a large CSV to evaluate is labelled in the processes
+that parse it (:func:`load_eval_rows`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import data as data_io
 from .augment import augment_batch
 from .config import TrainConfig
-from .data import Dataset
+from .data import Dataset, LabelledRows, Standardization
 from .errors import ConfigError, CsvFormatError, DegenerateRowError, NonFiniteError
 from .losses import c3_objective, chain_to_embeddings, init_cluster_loss, instance_objective
 from .metrics import Partition, accuracy, ari, nmi
@@ -277,6 +278,23 @@ def _send_labels(fd, params, x) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread and restore its
+    count on exit.  Yields whether the count could be set; where it cannot,
+    nothing is changed."""
+    blas = openblas()
+    if blas is None:
+        yield False
+        return
+    threads = blas.get_threads()
+    try:
+        blas.set_threads(1)
+        yield True
+    finally:
+        blas.set_threads(threads)
+
+
 def predict(params: ModelParams, x) -> Partition:
     """Hard cluster labels: argmax of the assignment probabilities, ties to the
     lowest index (:func:`cluster_labels`).
@@ -294,35 +312,73 @@ def predict(params: ModelParams, x) -> Partition:
     """
     m = params.dims.num_clusters
     x = np.asarray(x, dtype=np.float64)
-    blas = openblas() if x.ndim == 2 and len(x) >= _PARALLEL_MIN_ROWS else None
-    if blas is None:
+    if x.ndim != 2 or len(x) < _PARALLEL_MIN_ROWS:
         return Partition(cluster_labels(params, x), m)
-    cpus = data_io._usable_cpus() if threading.active_count() == 1 else 1
-    parts = label_parts(params.dims, len(x), cpus)
-    labels = np.empty(len(x), dtype=np.int64)
-    threads, children = blas.get_threads(), []
-    try:
-        blas.set_threads(1)
-        with contextlib.suppress(OSError):  # no process or pipe to spare
-            for rows in parts[1:]:
-                children.append(data_io._fork_writer(_send_labels, params, x[rows]))
-        for k, rows in enumerate(parts):
-            if 0 < k <= len(children):
-                try:
-                    data_io._read_exact(children[k - 1][1], labels[rows])
-                    continue
-                except EOFError:  # the worker died: its part is labelled here
-                    pass
-            labels[rows] = cluster_labels(params, x[rows])
-    finally:
-        data_io._reap(children)
-        blas.set_threads(threads)
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            return Partition(cluster_labels(params, x), m)
+        cpus = data_io._usable_cpus() if threading.active_count() == 1 else 1
+        parts = label_parts(params.dims, len(x), cpus)
+        labels = np.empty(len(x), dtype=np.int64)
+        children = []
+        try:
+            with contextlib.suppress(OSError):  # no process or pipe to spare
+                for rows in parts[1:]:
+                    children.append(data_io._fork_writer(_send_labels, params, x[rows]))
+            for k, rows in enumerate(parts):
+                if 0 < k <= len(children):
+                    try:
+                        data_io._read_exact(children[k - 1][1], labels[rows])
+                        continue
+                    except EOFError:  # the worker died: its part is labelled here
+                        pass
+                labels[rows] = cluster_labels(params, x[rows])
+        finally:
+            data_io._reap(children)
     return Partition(labels, m)
 
 
-def evaluate(params: ModelParams, data: Dataset) -> dict:
-    """Metrics against truth labels, or an unlabeled report (sizes + entropy)."""
-    pred = predict(params, data.X)
+def load_eval_rows(
+    params: ModelParams, standardization: Standardization, path, label_column=None
+) -> Dataset | LabelledRows:
+    """A CSV's rows for :func:`evaluate`, standardized with the training
+    set's statistics; the header's feature columns must be the names they
+    were stored with (:func:`data.load_csv`).
+
+    While no Python thread but the main one is alive and when numpy's
+    OpenBLAS thread count can be set, a file that ``load_csv`` parses in
+    parts (on Linux, with at least 2 usable CPUs) is labelled where it is parsed
+    (:func:`data.label_csv`): each part standardizes its own rows and labels
+    them with :func:`cluster_labels` on one BLAS thread, which is set before
+    the fork and restored after.  Otherwise, and when a part fails, the
+    rows are loaded and standardized whole, and :func:`evaluate` labels them
+    with :func:`predict`: the same labels (README, "Processes and threads")
+    and every error of the one-process parse.
+    """
+
+    def label_rows(x):
+        return cluster_labels(params, standardization.apply(x, out=x))
+
+    names = standardization.feature_names
+    if threading.active_count() == 1 and data_io._part_count(path) >= 2:
+        with _one_blas_thread() as pinned:
+            rows = data_io.label_csv(path, label_rows, label_column, names) if pinned else None
+        if rows is not None:
+            return rows
+    dataset = data_io.load_csv(path, label_column, names)
+    return data_io.standardize(dataset, standardization)
+
+
+def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:
+    """Metrics against truth labels, or an unlabeled report (sizes + entropy).
+
+    A :class:`Dataset`'s rows are labelled here with :func:`predict`;
+    :class:`LabelledRows` (:func:`load_eval_rows`) carry their labels.
+    """
+    if isinstance(data, LabelledRows):
+        pred = Partition(data.labels, params.dims.num_clusters)
+    else:
+        pred = predict(params, data.X)
     sizes = np.bincount(pred.labels, minlength=pred.num_clusters)
     out = {"cluster_sizes": [int(s) for s in sizes]}
     if data.truth is not None:

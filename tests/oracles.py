@@ -294,7 +294,7 @@ def c3_loss_reference(s, mask, weights):
 
 
 def cluster_probabilities_reference(params, x):
-    """``model.cluster_probabilities`` as one pass over all rows, before it
+    """:func:`cluster_probabilities` as one pass over all rows, before it
     was split into row blocks."""
     a = x
     layers = [*params.encoder, *params.cluster_head]
@@ -304,6 +304,24 @@ def cluster_probabilities_reference(params, x):
         if k < len(layers) - 1:
             np.maximum(a, 0.0, out=a)
     return row_softmax_reference(a)
+
+
+def cluster_probabilities(params, x):
+    """c = softmax(cluster_head(f(x))) walked in ``cluster_labels``' row blocks
+    into one (n, M) output: the probabilities whose row argmax
+    ``model.cluster_labels`` returns.  Up to one block of rows this equals
+    ``forward(params, x).c`` bit for bit.  Takes rows whose instance embedding
+    is zero (which ``forward`` cannot normalize)."""
+    from crossclust import model
+
+    x = model._input_matrix(params, x)
+    blocks = model._cluster_blocks(params.dims, x.shape[0])
+    if len(blocks) < 2:
+        return model._cluster_pass(params, x)
+    out = np.empty((x.shape[0], params.dims.num_clusters))
+    for rows in blocks:
+        out[rows] = model._cluster_pass(params, x[rows])
+    return out
 
 
 def _chain_forward_reference(layers, x, relu_last):

@@ -11,8 +11,10 @@ import pytest
 
 import crossclust
 from crossclust.cli import main
-from crossclust.data import load_csv
-from crossclust.trainer import read_history
+from crossclust.data import Dataset, load_csv, save_csv, standardize
+from crossclust.metrics import Partition
+from crossclust.model import load_checkpoint
+from crossclust.trainer import evaluate, predict, read_history
 
 BLOBS_ARGS = ["--n", "60", "--d", "5", "--clusters", "3", "--sep", "6", "--sigma", "1", "--seed", "7"]
 FAST_SWEEP = [
@@ -250,20 +252,106 @@ class TestEval:
         assert outputs[1] == outputs[0]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # the statistics are stored: a part's labels need no other part, and a
+        # part that fails gives the one-process JSON too
+        monkeypatch.setattr(data, "_send_part", lambda *args: os._exit(3))
+        assert main(["eval", *args, "--label-column", "label"]) == 0
+        assert capsys.readouterr().out == outputs[0]
+        assert parsed[2] is None and parsed[3] is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_row_standardized_to_zero_is_labeled(self, tmp_path, capsys):
-        # untrained params have zero biases, so a row at the column means has y_z = 0
+        # untrained params have zero biases, so a row at the stored training
+        # means has y_z = 0
         train_csv = tmp_path / "train.csv"
         train_csv.write_text("a,b\n0.0,1.0\n1.0,0.0\n2.0,3.0\n3.0,2.0\n")
         out = tmp_path / "run"
         flags = ["--init-epochs", "0", "--c3-epochs", "0", "--batch-size", "2", "--clusters", "2"]
         assert main(["train", "--data", str(train_csv), "--out", str(out), *flags]) == 0
+        _, stats = load_checkpoint(out / "checkpoint.json", return_standardization=True)
+        np.testing.assert_array_equal(stats.mean, [1.5, 1.5])
         eval_csv = tmp_path / "eval.csv"
-        eval_csv.write_text("a,b\n0.0,0.0\n1.0,-1.0\n-1.0,1.0\n")
+        eval_csv.write_text("a,b\n1.5,1.5\n2.5,0.5\n0.5,2.5\n")
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(eval_csv)])
         assert code == 0, capsys.readouterr().err
         assert sum(json.loads(capsys.readouterr().out)["cluster_sizes"]) == 3
+
+    def test_a_rows_label_does_not_depend_on_the_other_rows_in_the_file(self, tmp_path, capsys):
+        # On its 400-row training file this model scores ACC 0.985.  Standardized
+        # with their own statistics, the 267 rows of clusters 0 and 1 alone
+        # scored 0.891, with 29 of them in the absent third cluster.
+        full = tmp_path / "full.csv"
+        blobs = ["--n", "400", "--d", "8", "--clusters", "3", "--seed", "1"]
+        assert main(["generate", *blobs, "--out", str(full)]) == 0
+        run = tmp_path / "run"
+        flags = ["--seed", "1", "--clusters", "3", "--init-epochs", "20", "--c3-epochs", "3"]
+        assert main(["train", "--data", str(full), "--label-column", "label", "--out", str(run), *flags]) == 0
+        checkpoint = run / "checkpoint.json"
+        data = load_csv(full, label_column="label")
+        labels = predict(load_checkpoint(checkpoint), standardize(data).X).labels
+        keep = data.truth.labels < 2
+        subset = tmp_path / "clusters_0_1.csv"  # labelled with each row's label in the whole file
+        save_csv(replace(data, X=data.X[keep], truth=Partition(labels[keep], 3)), subset)
+        capsys.readouterr()
+        args = ["eval", "--checkpoint", str(checkpoint), "--data", str(subset), "--label-column", "label"]
+        assert main(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cluster_sizes"] == np.bincount(labels[keep], minlength=3).tolist()
+        assert out["acc"] == 1.0
+
+    def test_format_1_checkpoint_standardizes_each_file_with_a_note(self, tmp_path, capsys):
+        checkpoint = Path(__file__).parent / "data" / "checkpoint_v1.json"
+        params = load_checkpoint(checkpoint)
+        x = 3.0 + 2.0 * np.random.default_rng(0).normal(size=(40, params.dims.input_dim))
+        path = tmp_path / "rows.csv"
+        save_csv(Dataset(X=x), path)
+        want = evaluate(params, standardize(load_csv(path)))
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == want
+        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+        assert len(notes) == 1 and "format-1 checkpoint without the training statistics" in notes[0]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mean", float("nan"), "standardization 'mean' holds a non-finite value"),
+            ("std", float("inf"), "standardization 'std' holds a non-finite value"),
+            ("std", 0.0, "standardization 'std' holds a value that is not positive"),
+        ],
+    )
+    def test_unusable_stored_statistics_are_refused(
+        self, trained_dir, blobs_csv, tmp_path, capsys, key, value, message
+    ):
+        payload = json.loads((trained_dir / "checkpoint.json").read_text())
+        payload["standardization"][key][1] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        assert main(["eval", "--checkpoint", str(edited), "--data", str(blobs_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{edited}: {message}" in captured.err
+
+    @pytest.mark.parametrize(
+        "edit, label_column, message",
+        [
+            (lambda h: h.replace("f2", "x2"), "label", "header feature 3 is 'x2'; the checkpoint's is 'f2' (row 1, col 3)"),
+            (lambda h: h, None, "header feature 6 is 'label'; the checkpoint has 5 features (row 1, col 6)"),
+            (lambda h: h.replace("f0,f1", "f1,f0"), "label", "header feature 1 is 'f1'; the checkpoint's is 'f0' (row 1, col 1)"),
+        ],
+        ids=["renamed", "label_column_not_named", "swapped"],
+    )
+    def test_header_that_differs_from_the_training_features_is_refused(
+        self, trained_dir, blobs_csv, tmp_path, capsys, edit, label_column, message
+    ):
+        header, rows = blobs_csv.read_text().split("\n", 1)
+        edited = tmp_path / "edited.csv"
+        edited.write_text(edit(header) + "\n" + rows)
+        args = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(edited)]
+        assert main(args + (["--label-column", label_column] if label_column else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_missing_checkpoint_exits_nonzero(self, blobs_csv, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"), "--data", str(blobs_csv)])

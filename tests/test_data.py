@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from crossclust import data as data_module
 from crossclust.cli import main
 from crossclust.config import DimsSpec, TrainConfig, config_from_dict, load_config
-from crossclust.data import Dataset, generate_blobs, load_csv, save_csv, standardize
+from crossclust.data import (
+    Dataset,
+    Standardization,
+    generate_blobs,
+    label_csv,
+    load_csv,
+    save_csv,
+    standardize,
+)
 from crossclust.errors import ConfigError, CsvFormatError
 from crossclust.metrics import Partition, accuracy
 from oracles import load_csv_rowwise
@@ -93,6 +101,22 @@ class TestStandardize:
             tracemalloc.stop()
         assert out.X.shape == x.shape
         assert peak < 1.5 * x.nbytes
+
+
+    def test_statistics_are_the_datasets_own_and_apply_to_other_rows(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(1.0, 3.0, size=(50, 4))
+        x[:, 1] = -2.0
+        stats = Standardization.of(Dataset(X=x, feature_names=("a", "b", "c", "d")))
+        np.testing.assert_array_equal(stats.mean, x.mean(axis=0))
+        np.testing.assert_array_equal(stats.std, np.where(x.std(axis=0) == 0, 1.0, x.std(axis=0)))
+        assert stats.feature_names == ("a", "b", "c", "d")
+        assert Standardization.of(Dataset(X=x)).feature_names == ("f0", "f1", "f2", "f3")
+        other = rng.normal(size=(7, 4))
+        want = (other - stats.mean) / stats.std
+        np.testing.assert_array_equal(standardize(Dataset(X=other), stats).X, want)
+        assert stats.apply(other, out=other) is other
+        np.testing.assert_array_equal(other, want)
 
 
 class TestCsvRoundTrip:
@@ -522,6 +546,116 @@ class TestLoadCsvInParts:
         monkeypatch.setattr(os, "fork", no_fork)
         got = load_csv(path, "label")
         assert got.X.tobytes() == want.X.tobytes()
+
+
+class TestFeatureNames:
+    @pytest.mark.parametrize(
+        "names, message, col",
+        [
+            (("a", "x", "b"), "header feature 2 is 'b'; the checkpoint's is 'x'", 3),
+            (("b", "a"), "header feature 1 is 'a'; the checkpoint's is 'b'", 1),
+            (("a",), "header feature 2 is 'b'; the checkpoint has 1 features", 3),
+            (("a", "b", "c"), "header has no feature 3; the checkpoint's is 'c'", None),
+        ],
+        ids=["renamed", "reordered", "extra_column", "missing_column"],
+    )
+    def test_first_differing_column_is_named_before_any_row_is_read(
+        self, tmp_path, monkeypatch, names, message, col
+    ):
+        path = tmp_path / "named.csv"
+        path.write_text("a,label,b\n1.0,p,2.0\n3.0,q,oops\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(path, "label", names)
+        assert str(info.value).startswith(message)
+        assert (info.value.row, info.value.col) == (1, col)
+
+    def test_matching_names_load_as_without_them(self, tmp_path):
+        path = tmp_path / "named.csv"
+        path.write_text("a,label,b\n1.0,p,2.0\n3.0,q,4.0\n")
+        got = load_csv(path, "label", ("a", "b"))
+        assert got.X.tobytes() == load_csv(path, "label").X.tobytes()
+
+
+def first_feature_sign(x):
+    """A ``label_csv`` hook: 1 where a row's first feature is positive."""
+    return (x[:, 0] > 0).astype(np.int64)
+
+
+class TestLabelCsv:
+    @pytest.mark.parametrize("label_column", ["label", None])
+    def test_labels_and_truth_are_those_of_the_whole_file(self, tmp_path, monkeypatch, label_column):
+        path = tmp_path / "parts.csv"
+        text = parts_csv(label_column is not None).replace("0.0,", "-0.5,", 1)  # one row labelled 0
+        path.write_text(text, newline="")
+        want = load_csv(path, label_column)
+        results = force_parts(monkeypatch)
+        got = label_csv(path, first_feature_sign, label_column, ("a", "b"))
+        assert results[0] is not None
+        np.testing.assert_array_equal(got.labels, first_feature_sign(want.X))
+        assert got.labels.dtype == np.int64 and len(set(got.labels.tolist())) == 2
+        if label_column is None:
+            assert got.truth is None
+        else:
+            np.testing.assert_array_equal(got.truth.labels, want.truth.labels)
+            assert got.truth.num_clusters == want.truth.num_clusters == 6
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"1e-3\n", b"oops\n"), (b"1e-3\n", b"nan\n"), (b",t,", b',"t",'), (b"a,label", b"x,label")],
+        ids=["non_numeric", "non_finite", "quoted_label", "other_header"],
+    )
+    def test_failing_part_or_header_gives_none(self, tmp_path, monkeypatch, old, new):
+        header, rows = parts_csv().encode().split(b"\r\n", 1)
+        text = header + b"\r\n" + b"0.5,p,1\n" * 1250 + rows
+        path = tmp_path / "parts.csv"
+        path.write_bytes(text[::-1].replace(old[::-1], new[::-1], 1)[::-1])  # the last match
+        results = force_parts(monkeypatch)
+        assert label_csv(path, first_feature_sign, "label", ("a", "b")) is None
+        assert results == ([] if old.startswith(b"a,") else [None])
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    def test_hook_error_in_any_part_gives_none(self, tmp_path, monkeypatch, where):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        results = force_parts(monkeypatch)
+        parent = os.getpid()
+
+        def fails(x):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError("labelling failed")
+            return first_feature_sign(x)
+
+        assert label_csv(path, fails, "label") is None
+        assert results == [None]
+        assert_no_child_process()
+
+    def test_part_of_one_row_gives_none(self, tmp_path, monkeypatch):
+        # the first of two parts holds one long row
+        path = tmp_path / "parts.csv"
+        path.write_text("a,b\n1.0" + " " * 1000 + ",2.0\n3.0,4.0\n5.0,6.0\n")
+        results = force_parts(monkeypatch)
+        monkeypatch.setattr(data_module, "_usable_cpus", lambda: 2)
+        assert load_csv(path).n == 3 and results[0][0].shape == (3, 2)
+        seen = []
+        assert label_csv(path, lambda x: seen.append(len(x)) or first_feature_sign(x)) is None
+        assert results[1] is None
+        assert seen == []  # a one-row product rounds differently: no part is labelled alone
+        assert_no_child_process()
+
+    def test_file_too_small_or_one_cpu_gives_none_without_a_fork(self, tmp_path, monkeypatch):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert label_csv(path, first_feature_sign, "label") is None
+        monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
+        assert label_csv(path, first_feature_sign, "label") is None
 
 
 class TestTrainConfig:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import (
     backward_reference,
+    cluster_probabilities,
     cluster_probabilities_reference,
     forward_reference,
     grad_check,
@@ -21,7 +22,6 @@ from crossclust.model import (
     adam_step,
     backward,
     cluster_labels,
-    cluster_probabilities,
     forward,
     init_params,
     label_parts,
@@ -36,6 +36,18 @@ PROTOCOL_DIMS = ModelDims(input_dim=32, encoder_hidden=(128, 64), z_dim=32, num_
 ALL_DIMS = [SMALL_DIMS, ODD_DIMS, PROTOCOL_DIMS]
 DEFAULT_DIMS = ModelDims(input_dim=32)
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.json"
+
+
+def standardization(d):
+    """Training statistics of ``d`` features, with bits that JSON must keep."""
+    from crossclust.data import Standardization
+
+    rng = np.random.default_rng(d)
+    std = rng.uniform(0.5, 2.0, size=d)
+    std[0] = 1.0  # a constant feature
+    mean = rng.normal(size=d)
+    mean[-1] = 5e-324
+    return Standardization(mean, std, tuple(f"feature {j}" for j in range(d)))
 
 
 def params_equal(a, b):
@@ -260,6 +272,35 @@ class TestClusterProbabilities:
         for rows in got:
             np.testing.assert_array_equal(cluster_labels(p, x[rows]), whole[rows])
 
+    @pytest.mark.parametrize("threads", [None, 1, 2], ids=["default", "1", "2"])
+    def test_rows_have_the_same_bits_in_every_block_of_two_or_more_rows(self, threads):
+        # Parse parts split the rows of a CSV at line starts, not at block
+        # bounds, and label their rows in blocks of their own: a row's c must
+        # not depend on the block it sits in.  One-row blocks are excluded;
+        # they take BLAS's gemv path (model._row_blocks).
+        from crossclust.data import generate_blobs
+        from crossclust.numerics import openblas
+
+        blas = openblas() if threads is not None else None
+        if threads is not None and blas is None:
+            pytest.skip("no OpenBLAS whose thread count can be set")
+        rng = np.random.default_rng(3)
+        p = init_params(11, PROTOCOL_DIMS)
+        p.flat[:] += 0.05 * rng.standard_normal(p.flat.size)  # nonzero biases too
+        x = generate_blobs(0, 2000, 32, 5, 6.0, 1.0).X
+        before = blas.get_threads() if blas else None
+        try:
+            if blas:
+                blas.set_threads(threads)
+            whole = model._cluster_pass(p, x)
+            for _ in range(300):
+                r0 = int(rng.integers(0, len(x) - 1))
+                r1 = int(rng.integers(r0 + 2, len(x) + 1))
+                np.testing.assert_array_equal(model._cluster_pass(p, x[r0:r1]), whole[r0:r1])
+        finally:
+            if blas:
+                blas.set_threads(before)
+
     def test_memory_stays_below_one_full_activation(self):
         # one 20 000 x 128 float64 activation is 20.48 MB; blocks keep far less alive
         p = init_params(0, PROTOCOL_DIMS)
@@ -471,30 +512,91 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match="flat"):
             replace(p, flat=p.flat[:-1])
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["format1", "format2"])
     @pytest.mark.parametrize("dims", [SMALL_DIMS, DEFAULT_DIMS], ids=["small", "default"])
-    def test_file_is_json_dumps_of_the_payload_byte_for_byte(self, tmp_path, dims):
+    def test_file_is_json_dumps_of_the_payload_byte_for_byte(self, tmp_path, dims, stored):
         import json
 
         p = init_params(5, dims)
         p.flat[:3] = [-0.0, 5e-324, 1e16]
         p.flat[-3:] = [1e-300, -2.5e-310, 0.1]
+        stats = standardization(dims.input_dim) if stored else None
         payload = {
-            "format_version": model.CHECKPOINT_FORMAT_VERSION,
+            "format_version": 2 if stored else 1,
             "dims": {
                 "input_dim": dims.input_dim,
                 "encoder_hidden": list(dims.encoder_hidden),
                 "z_dim": dims.z_dim,
                 "num_clusters": dims.num_clusters,
             },
-            "blocks": {
-                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                for name, arr in p.named_arrays()
-            },
+        }
+        if stored:
+            payload["standardization"] = {
+                "feature_names": list(stats.feature_names),
+                "mean": stats.mean.tolist(),
+                "std": stats.std.tolist(),
+            }
+        payload["blocks"] = {
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            for name, arr in p.named_arrays()
         }
         path = tmp_path / "model.json"
-        save_checkpoint(p, path)
+        save_checkpoint(p, path, stats)
         assert path.read_bytes() == json.dumps(payload).encode("utf-8")
-        assert load_checkpoint(path).flat.tobytes() == p.flat.tobytes()
+        loaded, got = load_checkpoint(path, return_standardization=True)
+        assert loaded.flat.tobytes() == p.flat.tobytes()
+        if stored:
+            assert got.mean.tobytes() == stats.mean.tobytes()
+            assert got.std.tobytes() == stats.std.tobytes()
+            assert got.feature_names == stats.feature_names
+        else:
+            assert got is None
+
+    def test_format_v1_file_has_no_standardization(self):
+        params, stats = load_checkpoint(CHECKPOINT_V1, return_standardization=True)
+        assert stats is None and params.dims == SMALL_DIMS
+
+    def test_format_2_adds_only_the_standardization_entry(self, tmp_path):
+        import json
+
+        p = init_params(2, SMALL_DIMS)
+        save_checkpoint(p, tmp_path / "v1.json")
+        save_checkpoint(p, tmp_path / "v2.json", standardization(SMALL_DIMS.input_dim))
+        v1 = json.loads((tmp_path / "v1.json").read_text())
+        v2 = json.loads((tmp_path / "v2.json").read_text())
+        assert list(v2) == ["format_version", "dims", "standardization", "blocks"]
+        del v2["standardization"]
+        assert v2 == {**v1, "format_version": 2}
+
+    @pytest.mark.parametrize(
+        "key, index, value, message",
+        [
+            ("mean", 0, float("nan"), "'mean' holds a non-finite value"),
+            ("mean", 5, float("-inf"), "'mean' holds a non-finite value"),
+            ("std", 1, float("inf"), "'std' holds a non-finite value"),
+            ("std", 2, 0.0, "'std' holds a value that is not positive"),
+            ("std", 3, -1.0, "'std' holds a value that is not positive"),
+            ("mean", None, None, r"'mean' has shape \(5,\), expected \(6,\)"),
+            ("feature_names", None, None, "has 5 feature names, expected 6"),
+            ("feature_names", 0, 7, "'feature_names' is not a list of strings"),
+        ],
+    )
+    def test_rejects_standardization_that_cannot_be_applied(
+        self, tmp_path, key, index, value, message
+    ):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(0, SMALL_DIMS), path, standardization(SMALL_DIMS.input_dim))
+        payload = json.loads(path.read_text())
+        entry = payload["standardization"][key]
+        if index is None:
+            entry.pop()
+        else:
+            entry[index] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: standardization.*{message}"):
+            load_checkpoint(path, return_standardization=True)
 
     @pytest.mark.parametrize(
         "name, value", [("encoder.0.weight", "nan"), ("cluster_head.0.bias", "inf")]

@@ -18,16 +18,31 @@ from hypothesis.extra.numpy import arrays
 
 from crossclust.augment import AugmentConfig, augment_batch
 from crossclust.config import DimsSpec, TrainConfig
-from crossclust.data import Dataset, generate_blobs, load_csv, save_csv
-from crossclust.errors import ConfigError, CrossclustError, DegenerateRowError, NonFiniteError
+from crossclust.data import (
+    Dataset,
+    LabelledRows,
+    Standardization,
+    generate_blobs,
+    load_csv,
+    save_csv,
+    standardize,
+)
+from crossclust.errors import (
+    ConfigError,
+    CrossclustError,
+    CsvFormatError,
+    DegenerateRowError,
+    NonFiniteError,
+)
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
-from crossclust.model import ModelDims, backward, cluster_probabilities, forward, init_params
+from crossclust.model import ModelDims, backward, forward, init_params
 from crossclust.numerics import openblas, similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
     _helper_thread,
     evaluate,
+    load_eval_rows,
     predict,
     read_history,
     train,
@@ -36,7 +51,7 @@ from crossclust.trainer import (
     write_history,
 )
 
-from oracles import grad_check
+from oracles import cluster_probabilities, grad_check
 
 SMALL_CFG = TrainConfig(
     M=3,
@@ -1000,3 +1015,90 @@ class TestInferenceWorkers:
         workers = min(cpus, 7) - 1 if case == "real_affinity" and BLAS is not None else 0
         assert forked == ["_send_labels"] * workers
         np.testing.assert_array_equal(got.labels, want)
+
+
+def eval_csv(path, n, seed=0):
+    """Write ``n`` labelled rows of 6 features and return statistics of other
+    rows, as a checkpoint of a training run stores them."""
+    x = label_rows(n, seed=seed)
+    truth = Partition(np.arange(n) % 4, 4)
+    save_csv(Dataset(X=x, truth=truth, feature_names=tuple("abcdef")), path)
+    return Standardization.of(Dataset(X=0.5 + label_rows(40, seed=seed + 1), feature_names=tuple("abcdef")))
+
+
+class TestEvalRows:
+    @needs_blas
+    def test_part_boundary_inside_a_row_block_gives_the_labels_of_the_whole(
+        self, tmp_path, monkeypatch
+    ):
+        import crossclust.data as data_module
+        import crossclust.model as model
+
+        path = tmp_path / "large.csv"
+        stats = eval_csv(path, 36_000, seed=5)
+        assert path.stat().st_size >= 2 * data_module._PARALLEL_PART_BYTES
+        params = label_params(5)
+        whole = standardize(load_csv(path, "label"), stats)
+        want = one_thread_labels(params, whole.X)
+        assert len(set(want.tolist())) > 1
+        start, boundary, _ = data_module._part_bounds(path, 2)
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            first_part_rows = fh.read(boundary - start).count(b"\n")
+        assert first_part_rows % (model._BLOCK_ENTRIES // max(SMALL_CFG.dims.hidden)) != 0
+        forked = count_producers(monkeypatch, cpus=2)
+        seen = watch_blas_in_parent(monkeypatch)
+        before = BLAS.get_threads()
+        got = load_eval_rows(params, stats, path, "label")
+        assert isinstance(got, LabelledRows) and forked == ["_send_part"]
+        assert seen == [1]  # the parent's part, on one thread
+        np.testing.assert_array_equal(got.labels, want)
+        np.testing.assert_array_equal(got.truth.labels, whole.truth.labels)
+        assert evaluate(params, got) == evaluate(params, whole)
+        assert BLAS.get_threads() == before
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "case", ["parts", "real_affinity", "one_cpu", "second_thread", "no_blas", "dead_part"]
+    )
+    def test_every_path_gives_the_one_process_json(self, tmp_path, monkeypatch, case):
+        import crossclust.data as data_module
+        import crossclust.trainer as trainer
+
+        path = tmp_path / "rows.csv"
+        stats = eval_csv(path, 60)
+        params = label_params(3)
+        want = evaluate(params, standardize(load_csv(path, "label"), stats))
+        monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        forked = count_producers(monkeypatch, {"one_cpu": 1, "real_affinity": None}.get(case, 3))
+        if case == "no_blas":
+            monkeypatch.setattr(trainer, "openblas", lambda: None)
+        if case == "dead_part":
+            monkeypatch.setattr(data_module, "_send_part", lambda *args: os._exit(3))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if case == "second_thread":
+            waiter.start()
+        try:
+            got = load_eval_rows(params, stats, path, "label")
+        finally:
+            release.set()
+            if case == "second_thread":
+                waiter.join(timeout=10)
+        cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+        in_parts = BLAS is not None and (case == "parts" or case == "real_affinity" and cpus > 1)
+        assert isinstance(got, LabelledRows if in_parts else Dataset)
+        # parts are labelled where they are parsed, or load_csv parses the file
+        # in parts after the dead parts of the first try
+        parsers = {"real_affinity": cpus - 1, "one_cpu": 0, "dead_part": 4}.get(case, 2)
+        assert len(forked) == parsers
+        assert evaluate(params, got) == want
+        assert_no_child_process()
+
+    def test_header_other_than_the_stored_names_is_refused(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        stats = eval_csv(path, 10)
+        stats = Standardization(stats.mean, stats.std, tuple("abcxef"))
+        with pytest.raises(CsvFormatError, match="header feature 4 is 'd'; the checkpoint's is 'x'"):
+            load_eval_rows(label_params(3), stats, path, "label")
+
