@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import TrainConfig, load_config
 from .data import Standardization, generate_blobs, load_csv, save_csv, standardize
 from .errors import ConfigError, CrossclustError
-from .model import load_checkpoint, save_checkpoint
+from .model import _load_checkpoint, save_checkpoint
 from .trainer import evaluate, load_eval_rows, read_history, train, write_history
 
 ENV_OUT_ROOT = "CROSSCLUST_OUT"
@@ -159,7 +159,7 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    params, stats = load_checkpoint(args.checkpoint, return_standardization=True)
+    params, stats = _load_checkpoint(args.checkpoint)
     if stats is None:
         _log(
             f"note: {args.checkpoint} is a format-1 checkpoint without the training statistics; "

@@ -471,16 +471,15 @@ def _fork_writer(write, *args) -> tuple[int, int]:
             # Python 3.12+ warns when a process with threads (OpenBLAS's)
             # forks.  The training CSV parsers and the augmentation producer
             # run only numpy parsing, random draws and elementwise work and
-            # call no BLAS; the inference workers of trainer.predict and the
-            # parsers that label eval rows (trainer.load_eval_rows) do, but
-            # only after their parent set OpenBLAS to one thread, so each
-            # BLAS call in the child runs on its one thread.  No lock a
-            # writer takes can be held by another thread, because forks
-            # happen only while this process runs no Python thread but the
-            # main one: the trainer starts a stage's helper thread after
-            # the stage's fork and joins it before the stage ends, and
-            # predict and load_eval_rows fork only while no other thread is
-            # alive.
+            # call no BLAS; the parsers that label eval rows
+            # (trainer.load_eval_rows) do, but only after their parent set
+            # OpenBLAS to one thread, so each BLAS call in the child runs on
+            # its one thread.  No lock a writer takes can be held by another
+            # thread, because forks happen only while this process runs no
+            # Python thread but the main one: the trainer starts a stage's
+            # helper thread after the stage's fork and joins it before the
+            # stage ends, and load_eval_rows forks only while no other
+            # thread is alive.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:

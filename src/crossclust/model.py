@@ -219,17 +219,6 @@ def cluster_labels(params: ModelParams, x) -> np.ndarray:
     return labels
 
 
-def label_parts(dims: ModelDims, n: int, parts: int) -> list[slice]:
-    """Split ``range(n)`` into at most ``parts`` runs of whole row blocks, about
-    equal in block count.  Each part's blocks are those the whole input is
-    walked in, so :func:`cluster_labels` of a part's rows gives the labels
-    that of all ``n`` rows gives there."""
-    blocks = _cluster_blocks(dims, n)
-    parts = min(parts, len(blocks))
-    cuts = [blocks[len(blocks) * k // parts].start for k in range(parts)] + [n]
-    return [slice(r0, r1) for r0, r1 in zip(cuts[:-1], cuts[1:])]
-
-
 def _cluster_pass(params: ModelParams, x) -> Matrix:
     y = _affine(params.cluster_head[0], _encode(params, x)[-1])
     return row_softmax(y, out=y)
@@ -324,35 +313,32 @@ def adam_step(
     return replace(params, flat=flat), AdamState(m=m, v=v, step=t)
 
 
-def save_checkpoint(
-    params: ModelParams, path, standardization: Standardization | None = None
-) -> None:
+def save_checkpoint(params: ModelParams, path, standardization: Standardization) -> None:
     """Write a versioned JSON checkpoint that round-trips bit-exactly.
 
     The file is ``json.dumps`` of ``{"format_version", "dims",
     "standardization", "blocks": {name: {"shape", "data"}}}``, byte for
     byte, but it is encoded and written one parameter block at a time, so no
-    more than one block's list and text are alive at once.  With
-    ``standardization``, the training set's statistics, the file is format 2
-    and its ``"standardization"`` entry holds their ``feature_names``,
-    ``mean`` and ``std``; without, it is format 1, which has no such entry.
+    more than one block's list and text are alive at once.  The
+    ``"standardization"`` entry holds the training set's ``feature_names``,
+    ``mean`` and ``std``.  Only this format, 2, is written; format 1, which
+    has no such entry, is still read.
     """
     dims = params.dims
     head = {
-        "format_version": 1 if standardization is None else CHECKPOINT_FORMAT_VERSION,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "dims": {
             "input_dim": dims.input_dim,
             "encoder_hidden": list(dims.encoder_hidden),
             "z_dim": dims.z_dim,
             "num_clusters": dims.num_clusters,
         },
-    }
-    if standardization is not None:
-        head["standardization"] = {
+        "standardization": {
             "feature_names": list(standardization.feature_names),
             "mean": standardization.mean.tolist(),
             "std": standardization.std.tolist(),
-        }
+        },
+    }
     with open(path, "w", encoding="utf-8") as out:
         out.write(json.dumps(head)[:-1] + ', "blocks": {')
         for k, (name, arr) in enumerate(params.named_arrays()):
@@ -361,25 +347,29 @@ def save_checkpoint(
         out.write("}}")
 
 
-def load_checkpoint(path, return_standardization: bool = False):
-    """Read a checkpoint written by :func:`save_checkpoint`.
+def load_checkpoint(path) -> ModelParams:
+    """The parameters of a checkpoint written by :func:`save_checkpoint`
+    (see :func:`_load_checkpoint`)."""
+    return _load_checkpoint(path)[0]
 
-    Returns its parameters; with ``return_standardization``, a pair of them
-    and the stored :class:`Standardization` (None for a format-1 file).  A
-    file that is not a checkpoint (not UTF-8 JSON, a missing key or field, a
-    block of the wrong shape or with a non-finite value, statistics that do
-    not fit the input width, or a mean or std that is not finite, or a std
-    that is not positive) raises :class:`ConfigError` naming the path.
+
+def _load_checkpoint(path) -> tuple[ModelParams, Standardization | None]:
+    """A checkpoint's parameters and its stored :class:`Standardization`,
+    None for a format-1 file.
+
+    A file that is not a checkpoint (not UTF-8 JSON, a missing key or field,
+    a block of the wrong shape or with a non-finite value, statistics that
+    do not fit the input width, or a mean or std that is not finite, or a
+    std that is not positive) raises :class:`ConfigError` naming the path.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         params = _params_from_payload(payload)
-        stats = _standardization_from_payload(payload, params.dims.input_dim)
+        return params, _standardization_from_payload(payload, params.dims.input_dim)
     except KeyError as exc:
         raise ConfigError("checkpoint", f"{path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError("checkpoint", f"{path}: {exc}") from None
-    return (params, stats) if return_standardization else params
 
 
 def _params_from_payload(payload) -> ModelParams:

@@ -22,10 +22,10 @@ fewer than the usable CPUs (:func:`_stage_views`).  Elsewhere, or once a
 producer fails, views are computed in-process, with the same bits.  When
 that leaves OpenBLAS one thread and the batch is large, one helper thread
 computes half of each step's pairwise rows and one of its two chain
-products (:func:`_helper_thread`), again with the same bits.  Labels of a
-large input are computed in forked workers, one per usable CPU
-(:func:`predict`); a large CSV to evaluate is labelled in the processes
-that parse it (:func:`load_eval_rows`).
+products (:func:`_helper_thread`), again with the same bits.  Every label
+is computed with OpenBLAS on one thread (:func:`predict`); a large CSV to
+evaluate is labelled in the processes that parse it
+(:func:`load_eval_rows`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .model import (
     cluster_labels,
     forward,
     init_params,
-    label_parts,
 )
 from .numerics import entropy, openblas
 
@@ -66,9 +65,6 @@ _STAGE_IDS = {"params": 0, STAGE_INIT: 1, STAGE_C3: 2}
 # The smallest stacked batch 2N whose steps a helper thread makes faster
 # (README, "Processes and threads").
 _HELPER_MIN_ROWS = 768
-# The fewest input rows whose labels forked workers compute faster than one
-# process, in a fresh `crossclust eval` (README, "Processes and threads").
-_PARALLEL_MIN_ROWS = 32768
 
 
 @dataclass(frozen=True)
@@ -270,14 +266,6 @@ def _batch_forward(params, x, stage, epoch, batch, idx):
         ) from None
 
 
-def _send_labels(fd, params, x) -> int:
-    """Worker side of :func:`predict`: write ``cluster_labels(params, x)`` to
-    ``fd`` as int64.  Returns the exit status, 0."""
-    with open(fd, "wb") as out:
-        out.write(cluster_labels(params, x))
-    return 0
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread and restore its
@@ -299,43 +287,14 @@ def predict(params: ModelParams, x) -> Partition:
     """Hard cluster labels: argmax of the assignment probabilities, ties to the
     lowest index (:func:`cluster_labels`).
 
-    An input of at least ``_PARALLEL_MIN_ROWS`` rows is labelled with numpy's
-    OpenBLAS on one thread, when its thread count can be set, so that its
-    labels do not depend on how many CPUs or threads there are.  On Linux
-    with at least 2 usable CPUs, and while no Python thread but the main one
-    is alive, its rows are then split into one part per usable CPU
-    (:func:`label_parts`): forked workers label every part but the first,
-    which this process labels, and send their labels down pipes.  A part
-    whose worker could not be started or died is labelled here.  Labels and
-    errors are those of the one-process path.  Every worker is reaped, and
-    the thread count restored, on every exit.
+    Computed with numpy's OpenBLAS on one thread, when its thread count can
+    be set, as every label of this package is, so that a row's label does
+    not depend on how many CPUs or threads there are, nor on the path that
+    labels it (:func:`load_eval_rows`).  The thread count is restored on
+    exit.
     """
-    m = params.dims.num_clusters
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or len(x) < _PARALLEL_MIN_ROWS:
-        return Partition(cluster_labels(params, x), m)
-    with _one_blas_thread() as pinned:
-        if not pinned:
-            return Partition(cluster_labels(params, x), m)
-        cpus = data_io._usable_cpus() if threading.active_count() == 1 else 1
-        parts = label_parts(params.dims, len(x), cpus)
-        labels = np.empty(len(x), dtype=np.int64)
-        children = []
-        try:
-            with contextlib.suppress(OSError):  # no process or pipe to spare
-                for rows in parts[1:]:
-                    children.append(data_io._fork_writer(_send_labels, params, x[rows]))
-            for k, rows in enumerate(parts):
-                if 0 < k <= len(children):
-                    try:
-                        data_io._read_exact(children[k - 1][1], labels[rows])
-                        continue
-                    except EOFError:  # the worker died: its part is labelled here
-                        pass
-                labels[rows] = cluster_labels(params, x[rows])
-        finally:
-            data_io._reap(children)
-    return Partition(labels, m)
+    with _one_blas_thread():
+        return Partition(cluster_labels(params, x), params.dims.num_clusters)
 
 
 def load_eval_rows(
@@ -352,8 +311,8 @@ def load_eval_rows(
     them with :func:`cluster_labels` on one BLAS thread, which is set before
     the fork and restored after.  Otherwise, and when a part fails, the
     rows are loaded and standardized whole, and :func:`evaluate` labels them
-    with :func:`predict`: the same labels (README, "Processes and threads")
-    and every error of the one-process parse.
+    with :func:`predict`, on one BLAS thread too: the same labels, whether
+    or not a part failed, and every error of the one-process parse.
     """
 
     def label_rows(x):

@@ -11,9 +11,9 @@ import pytest
 
 import crossclust
 from crossclust.cli import main
-from crossclust.data import Dataset, load_csv, save_csv, standardize
+from crossclust.data import Dataset, Standardization, load_csv, save_csv, standardize
 from crossclust.metrics import Partition
-from crossclust.model import load_checkpoint
+from crossclust.model import _load_checkpoint, load_checkpoint
 from crossclust.trainer import evaluate, predict, read_history
 
 BLOBS_ARGS = ["--n", "60", "--d", "5", "--clusters", "3", "--sep", "6", "--sigma", "1", "--seed", "7"]
@@ -269,7 +269,7 @@ class TestEval:
         out = tmp_path / "run"
         flags = ["--init-epochs", "0", "--c3-epochs", "0", "--batch-size", "2", "--clusters", "2"]
         assert main(["train", "--data", str(train_csv), "--out", str(out), *flags]) == 0
-        _, stats = load_checkpoint(out / "checkpoint.json", return_standardization=True)
+        _, stats = _load_checkpoint(out / "checkpoint.json")
         np.testing.assert_array_equal(stats.mean, [1.5, 1.5])
         eval_csv = tmp_path / "eval.csv"
         eval_csv.write_text("a,b\n1.5,1.5\n2.5,0.5\n0.5,2.5\n")
@@ -382,7 +382,8 @@ class TestEval:
         from crossclust.model import ModelDims, init_params, save_checkpoint
 
         path = tmp_path / "damaged.json"
-        save_checkpoint(init_params(0, ModelDims(input_dim=5, num_clusters=3)), path)
+        stats = Standardization.of(load_csv(blobs_csv, label_column="label"))
+        save_checkpoint(init_params(0, ModelDims(input_dim=5, num_clusters=3)), path, stats)
         path.write_text(damage(path.read_text()), encoding="latin-1")
         code = main(["eval", "--checkpoint", str(path), "--data", str(blobs_csv)])
         assert code == 1

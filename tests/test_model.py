@@ -24,7 +24,6 @@ from crossclust.model import (
     cluster_labels,
     forward,
     init_params,
-    label_parts,
     load_checkpoint,
     save_checkpoint,
 )
@@ -250,28 +249,6 @@ class TestClusterProbabilities:
             assert all(rows.stop - rows.start > 1 for rows in blocks) or n == 1
             assert all(rows.stop - rows.start <= step + 1 for rows in blocks)
 
-    @pytest.mark.parametrize("offset", [0, 1, 3], ids=["whole_blocks", "one_row_tail", "short_tail"])
-    @pytest.mark.parametrize("parts", [1, 2, 3, 7, 50])
-    def test_parts_are_runs_of_whole_blocks_with_the_labels_of_the_whole(
-        self, monkeypatch, parts, offset
-    ):
-        monkeypatch.setattr(model, "_BLOCK_ENTRIES", 8 * widest(ODD_DIMS))
-        p = init_params(4, ODD_DIMS)
-        n = 6 * 8 + offset
-        x = np.random.default_rng(parts).normal(size=(n, ODD_DIMS.input_dim))
-        whole = cluster_labels(p, x)
-        np.testing.assert_array_equal(whole, np.argmax(cluster_probabilities(p, x), axis=1))
-        assert whole.dtype == np.int64
-        starts = {rows.start for rows in model._row_blocks(n, widest(ODD_DIMS))}
-        got = label_parts(ODD_DIMS, n, parts)
-        assert len(got) == min(parts, len(starts))
-        assert [rows.start for rows in got] == [0, *(rows.stop for rows in got[:-1])]
-        assert got[-1].stop == n and {rows.start for rows in got} <= starts
-        sizes = [rows.stop - rows.start for rows in got[:-1]]
-        assert max(sizes, default=0) - min(sizes, default=0) <= 8
-        for rows in got:
-            np.testing.assert_array_equal(cluster_labels(p, x[rows]), whole[rows])
-
     @pytest.mark.parametrize("threads", [None, 1, 2], ids=["default", "1", "2"])
     def test_rows_have_the_same_bits_in_every_block_of_two_or_more_rows(self, threads):
         # Parse parts split the rows of a CSV at line starts, not at block
@@ -476,16 +453,16 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         p = init_params(13, SMALL_DIMS)
         path = tmp_path / "model.json"
-        save_checkpoint(p, path)
-        loaded = load_checkpoint(path)
+        save_checkpoint(p, path, standardization(SMALL_DIMS.input_dim))
+        loaded, stats = model._load_checkpoint(path)
         assert params_equal(p, loaded)
         assert loaded.dims == p.dims
         # serialize again: byte-identical file
         path2 = tmp_path / "model2.json"
-        save_checkpoint(loaded, path2)
+        save_checkpoint(loaded, path2, stats)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_format_v1_file_loads_and_resaves_byte_identical(self, tmp_path):
+    def test_format_v1_file_loads_without_standardization(self):
         # a checked-in format-v1 file from the per-layer parameter layout:
         # init_params(13) plus three Adam steps, so every bias is nonzero
         p = init_params(13, SMALL_DIMS)
@@ -494,15 +471,25 @@ class TestCheckpoint:
         for _ in range(3):
             grads = replace(p, flat=rng.standard_normal(p.flat.size))
             p, state = adam_step(p, grads, state, lr=0.01)
-        loaded = load_checkpoint(CHECKPOINT_V1)
-        assert loaded.dims == SMALL_DIMS
+        loaded, stats = model._load_checkpoint(CHECKPOINT_V1)
+        assert stats is None and loaded.dims == SMALL_DIMS
         for (name, got), (_, want) in zip(loaded.named_arrays(), p.named_arrays()):
             np.testing.assert_array_equal(got, want, err_msg=name)
             assert np.shares_memory(got, loaded.flat), name
         assert all(layer.bias.any() for layer in loaded.encoder)
+        assert params_equal(load_checkpoint(CHECKPOINT_V1), loaded)
+
+    def test_format_v1_file_resaves_as_format_2_adding_only_the_standardization(self, tmp_path):
+        import json
+
         path = tmp_path / "model.json"
-        save_checkpoint(loaded, path)
-        assert path.read_bytes() == CHECKPOINT_V1.read_bytes()
+        save_checkpoint(load_checkpoint(CHECKPOINT_V1), path, standardization(SMALL_DIMS.input_dim))
+        v1 = json.loads(CHECKPOINT_V1.read_text())
+        v2 = json.loads(path.read_text())
+        assert v1["format_version"] == 1
+        assert list(v2) == ["format_version", "dims", "standardization", "blocks"]
+        del v2["standardization"]
+        assert v2 == {**v1, "format_version": 2}
 
     def test_flat_vector_is_blocks_in_checkpoint_order(self):
         p = init_params(0, SMALL_DIMS)
@@ -512,61 +499,40 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match="flat"):
             replace(p, flat=p.flat[:-1])
 
-    @pytest.mark.parametrize("stored", [False, True], ids=["format1", "format2"])
     @pytest.mark.parametrize("dims", [SMALL_DIMS, DEFAULT_DIMS], ids=["small", "default"])
-    def test_file_is_json_dumps_of_the_payload_byte_for_byte(self, tmp_path, dims, stored):
+    def test_file_is_json_dumps_of_the_payload_byte_for_byte(self, tmp_path, dims):
         import json
 
         p = init_params(5, dims)
         p.flat[:3] = [-0.0, 5e-324, 1e16]
         p.flat[-3:] = [1e-300, -2.5e-310, 0.1]
-        stats = standardization(dims.input_dim) if stored else None
+        stats = standardization(dims.input_dim)
         payload = {
-            "format_version": 2 if stored else 1,
+            "format_version": 2,
             "dims": {
                 "input_dim": dims.input_dim,
                 "encoder_hidden": list(dims.encoder_hidden),
                 "z_dim": dims.z_dim,
                 "num_clusters": dims.num_clusters,
             },
-        }
-        if stored:
-            payload["standardization"] = {
+            "standardization": {
                 "feature_names": list(stats.feature_names),
                 "mean": stats.mean.tolist(),
                 "std": stats.std.tolist(),
-            }
-        payload["blocks"] = {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in p.named_arrays()
+            },
+            "blocks": {
+                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                for name, arr in p.named_arrays()
+            },
         }
         path = tmp_path / "model.json"
         save_checkpoint(p, path, stats)
         assert path.read_bytes() == json.dumps(payload).encode("utf-8")
-        loaded, got = load_checkpoint(path, return_standardization=True)
+        loaded, got = model._load_checkpoint(path)
         assert loaded.flat.tobytes() == p.flat.tobytes()
-        if stored:
-            assert got.mean.tobytes() == stats.mean.tobytes()
-            assert got.std.tobytes() == stats.std.tobytes()
-            assert got.feature_names == stats.feature_names
-        else:
-            assert got is None
-
-    def test_format_v1_file_has_no_standardization(self):
-        params, stats = load_checkpoint(CHECKPOINT_V1, return_standardization=True)
-        assert stats is None and params.dims == SMALL_DIMS
-
-    def test_format_2_adds_only_the_standardization_entry(self, tmp_path):
-        import json
-
-        p = init_params(2, SMALL_DIMS)
-        save_checkpoint(p, tmp_path / "v1.json")
-        save_checkpoint(p, tmp_path / "v2.json", standardization(SMALL_DIMS.input_dim))
-        v1 = json.loads((tmp_path / "v1.json").read_text())
-        v2 = json.loads((tmp_path / "v2.json").read_text())
-        assert list(v2) == ["format_version", "dims", "standardization", "blocks"]
-        del v2["standardization"]
-        assert v2 == {**v1, "format_version": 2}
+        assert got.mean.tobytes() == stats.mean.tobytes()
+        assert got.std.tobytes() == stats.std.tobytes()
+        assert got.feature_names == stats.feature_names
 
     @pytest.mark.parametrize(
         "key, index, value, message",
@@ -596,7 +562,7 @@ class TestCheckpoint:
             entry[index] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: standardization.*{message}"):
-            load_checkpoint(path, return_standardization=True)
+            model._load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "name, value", [("encoder.0.weight", "nan"), ("cluster_head.0.bias", "inf")]
@@ -605,7 +571,7 @@ class TestCheckpoint:
         import json
 
         path = tmp_path / "model.json"
-        save_checkpoint(init_params(0, SMALL_DIMS), path)
+        save_checkpoint(init_params(0, SMALL_DIMS), path, standardization(SMALL_DIMS.input_dim))
         payload = json.loads(path.read_text())
         payload["blocks"][name]["data"][1] = float(value)
         path.write_text(json.dumps(payload))
@@ -615,8 +581,8 @@ class TestCheckpoint:
     def test_rejects_unknown_version(self, tmp_path):
         p = init_params(0, SMALL_DIMS)
         path = tmp_path / "model.json"
-        save_checkpoint(p, path)
-        payload = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        save_checkpoint(p, path, standardization(SMALL_DIMS.input_dim))
+        payload = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(payload)
         with pytest.raises(ConfigError, match="format_version"):
             load_checkpoint(path)
@@ -626,7 +592,7 @@ class TestCheckpoint:
 
         p = init_params(0, SMALL_DIMS)
         path = tmp_path / "model.json"
-        save_checkpoint(p, path)
+        save_checkpoint(p, path, standardization(SMALL_DIMS.input_dim))
         payload = json.loads(path.read_text())
         del payload["blocks"]["encoder.0.weight"]
         path.write_text(json.dumps(payload))

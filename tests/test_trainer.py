@@ -870,18 +870,6 @@ def label_rows(n, seed=0):
     return 2.0 * np.random.default_rng(seed).normal(size=(n, 6))
 
 
-def parallel_labels(monkeypatch, cpus=None) -> list:
-    """Label in blocks of ``BLOCK_ROWS`` rows from the first row on, with
-    ``cpus`` usable CPUs (the real count when None); returns the list of
-    processes forked, as :func:`count_producers` does."""
-    import crossclust.model as model
-    import crossclust.trainer as trainer
-
-    monkeypatch.setattr(model, "_BLOCK_ENTRIES", BLOCK_ROWS * max(SMALL_CFG.dims.hidden))
-    monkeypatch.setattr(trainer, "_PARALLEL_MIN_ROWS", 1)
-    return count_producers(monkeypatch, cpus=cpus)
-
-
 def one_thread_labels(params, x):
     """Labels of the one-process path on one OpenBLAS thread."""
     before = BLAS.get_threads()
@@ -894,7 +882,7 @@ def one_thread_labels(params, x):
 
 def watch_blas_in_parent(monkeypatch, fail=None) -> list:
     """Return the list that gets the BLAS thread count each time this
-    process labels a part; ``fail`` is then raised there, if given."""
+    process calls ``cluster_labels``; ``fail`` is then raised there, if given."""
     import crossclust.trainer as trainer
 
     parent, labels, seen = os.getpid(), trainer.cluster_labels, []
@@ -910,111 +898,52 @@ def watch_blas_in_parent(monkeypatch, fail=None) -> list:
     return seen
 
 
-class TestInferenceWorkers:
+class TestPredictThreads:
     @needs_blas
     @pytest.mark.parametrize("m", [2, 5])
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize(
-        "n", [3 * BLOCK_ROWS, 6 * BLOCK_ROWS + 3, 6 * BLOCK_ROWS + 1],
-        ids=["whole_blocks", "short_tail", "one_row_tail"],
-    )  # fmt: skip
-    def test_same_labels_as_one_process_on_one_thread(self, monkeypatch, m, cpus, n):
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3 * BLOCK_ROWS, 6 * BLOCK_ROWS + 3])
+    def test_labels_on_one_blas_thread_without_a_fork(self, monkeypatch, m, threads, n):
+        import crossclust.model as model
+
+        monkeypatch.setattr(model, "_BLOCK_ENTRIES", BLOCK_ROWS * max(SMALL_CFG.dims.hidden))
         params, x = label_params(m), label_rows(n, seed=n)
         want = one_thread_labels(params, x)
-        assert len(set(want.tolist())) > 1
-        forked = parallel_labels(monkeypatch, cpus)
+        forked = count_producers(monkeypatch)
+        seen = watch_blas_in_parent(monkeypatch)
         before = BLAS.get_threads()
-        got = predict(params, x)
-        assert forked == ["_send_labels"] * (cpus - 1)
+        try:
+            BLAS.set_threads(threads)
+            got = predict(params, x)
+            assert BLAS.get_threads() == threads
+        finally:
+            BLAS.set_threads(before)
+        assert seen == [1] and forked == []
         np.testing.assert_array_equal(got.labels, want)
         assert got.labels.dtype == np.int64 and got.num_clusters == m
-        assert BLAS.get_threads() == before
-        assert_no_child_process()
 
     @needs_blas
-    def test_worker_killed_mid_message_gives_the_same_labels(self, monkeypatch):
-        import crossclust.trainer as trainer
-
-        def dies_mid_message(fd, params, x):
-            os.write(fd, bytes(8 * (len(x) // 2)))  # half of its labels, all 0
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        params, x = label_params(5), label_rows(50, seed=0)
-        want = one_thread_labels(params, x)
-        forked = parallel_labels(monkeypatch, cpus=3)
-        monkeypatch.setattr(trainer, "_send_labels", dies_mid_message)
-        seen = watch_blas_in_parent(monkeypatch)
-        np.testing.assert_array_equal(predict(params, x).labels, want)
-        assert forked == ["dies_mid_message"] * 2
-        assert seen == [1, 1, 1]  # every part was labelled here
-        assert_no_child_process()
-
-    @needs_blas
-    def test_failed_fork_labels_every_part_here(self, monkeypatch):
-        params, x = label_params(5), label_rows(50, seed=1)
-        want = one_thread_labels(params, x)
-        forked = parallel_labels(monkeypatch, cpus=3)
-        forks = []
-
-        def no_process_to_spare():
-            forks.append(None)
-            raise BlockingIOError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", no_process_to_spare)
-        seen = watch_blas_in_parent(monkeypatch)
-        before = BLAS.get_threads()
-        np.testing.assert_array_equal(predict(params, x).labels, want)
-        assert len(forked) == 1 and len(forks) == 1  # no fork is tried after one failed
-        assert seen == [1, 1, 1]
-        assert BLAS.get_threads() == before
-
-    @needs_blas
-    @pytest.mark.parametrize("ending", ["completes", "error", "interrupt"])
-    def test_no_worker_left_and_blas_restored(self, monkeypatch, ending):
-        fail = {"error": ValueError("labelling failed"), "interrupt": KeyboardInterrupt()}.get(ending)
+    @pytest.mark.parametrize("fail", [ValueError("labelling failed"), KeyboardInterrupt()])
+    def test_blas_count_restored_when_labelling_fails(self, monkeypatch, fail):
         params, x = label_params(3), label_rows(50, seed=2)
-        forked = parallel_labels(monkeypatch, cpus=3)
         seen = watch_blas_in_parent(monkeypatch, fail)
         before = BLAS.get_threads()
-        if fail is None:
-            predict(params, x)
-        else:
+        try:
+            BLAS.set_threads(2)
             with pytest.raises(type(fail)):
                 predict(params, x)
-        assert len(forked) == 2 and seen == [1]
-        assert BLAS.get_threads() == before
-        assert_no_child_process()
+            assert BLAS.get_threads() == 2
+        finally:
+            BLAS.set_threads(before)
+        assert seen == [1]
 
-    @pytest.mark.parametrize(
-        "case", ["real_affinity", "one_cpu", "second_thread", "no_blas", "few_rows"]
-    )
-    def test_forks_only_with_two_cpus_settable_blas_one_thread_and_many_rows(
-        self, monkeypatch, case
-    ):
+    def test_without_a_settable_blas_labels_at_the_current_count(self, monkeypatch):
         import crossclust.trainer as trainer
 
         params, x = label_params(5), label_rows(50, seed=3)
         want = np.argmax(cluster_probabilities(params, x), axis=1)
-        forked = parallel_labels(monkeypatch, {"one_cpu": 1, "real_affinity": None}.get(case, 2))
-        if case == "no_blas":
-            monkeypatch.setattr(trainer, "openblas", lambda: None)
-        if case == "few_rows":
-            monkeypatch.setattr(trainer, "_PARALLEL_MIN_ROWS", len(x) + 1)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        if case == "second_thread":
-            waiter.start()
-        try:
-            got = predict(params, x)
-        finally:
-            release.set()
-            if case == "second_thread":
-                waiter.join(timeout=10)
-        assert not waiter.is_alive()
-        cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
-        workers = min(cpus, 7) - 1 if case == "real_affinity" and BLAS is not None else 0
-        assert forked == ["_send_labels"] * workers
-        np.testing.assert_array_equal(got.labels, want)
+        monkeypatch.setattr(trainer, "openblas", lambda: None)
+        np.testing.assert_array_equal(predict(params, x).labels, want)
 
 
 def eval_csv(path, n, seed=0):
@@ -1093,6 +1022,35 @@ class TestEvalRows:
         parsers = {"real_affinity": cpus - 1, "one_cpu": 0, "dead_part": 4}.get(case, 2)
         assert len(forked) == parsers
         assert evaluate(params, got) == want
+        assert_no_child_process()
+
+    @needs_blas
+    @pytest.mark.parametrize("case", ["parts", "one_cpu", "failed_fork", "dead_part"])
+    def test_labels_on_one_blas_thread_whether_or_not_parts_label(self, tmp_path, monkeypatch, case):
+        import crossclust.data as data_module
+
+        path = tmp_path / "rows.csv"
+        stats = eval_csv(path, 60)
+        params = label_params(3)
+        monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        forked = count_producers(monkeypatch, 1 if case == "one_cpu" else 3)
+        if case == "failed_fork":
+            monkeypatch.setattr(os, "fork", lambda: (_ for _ in ()).throw(BlockingIOError()))
+        if case == "dead_part":
+            monkeypatch.setattr(data_module, "_send_part", lambda *args: os._exit(3))
+        seen = watch_blas_in_parent(monkeypatch)
+        before = BLAS.get_threads()
+        try:
+            BLAS.set_threads(2)
+            result = evaluate(params, load_eval_rows(params, stats, path, "label"))
+            assert BLAS.get_threads() == 2
+        finally:
+            BLAS.set_threads(before)
+        # the parent labels its own part, then, if the parse in parts failed
+        # after it, every row again in evaluate
+        assert seen == {"parts": [1], "dead_part": [1, 1]}.get(case, [1])
+        assert len(forked) == {"parts": 2, "one_cpu": 0, "failed_fork": 2, "dead_part": 4}[case]
+        assert result == evaluate(params, standardize(load_csv(path, "label"), stats))
         assert_no_child_process()
 
     def test_header_other_than_the_stored_names_is_refused(self, tmp_path):
