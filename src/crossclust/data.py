@@ -98,8 +98,8 @@ class Standardization(NamedTuple):
 
 class LabelledRows(NamedTuple):
     """A CSV's rows as evaluation reads them: each row's int64 cluster label,
-    computed where the row was parsed (:func:`label_csv`), and the truth
-    partition of the label column, if one was named."""
+    computed where the row was parsed (:func:`label_csv`) or after a whole
+    load, and the truth partition of the label column, if one was named."""
 
     labels: np.ndarray
     truth: Partition | None = None

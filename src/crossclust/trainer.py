@@ -22,10 +22,9 @@ fewer than the usable CPUs (:func:`_stage_views`).  Elsewhere, or once a
 producer fails, views are computed in-process, with the same bits.  When
 that leaves OpenBLAS one thread and the batch is large, one helper thread
 computes half of each step's pairwise rows and one of its two chain
-products (:func:`_helper_thread`), again with the same bits.  Every label
-is computed with OpenBLAS on one thread (:func:`predict`); a large CSV to
-evaluate is labelled in the processes that parse it
-(:func:`load_eval_rows`).
+products (:func:`_helper_thread`), again with the same bits.  A large CSV
+to evaluate is labelled on one OpenBLAS thread, in the processes that parse
+it (:func:`load_eval_rows`).
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import os
 import queue
 import threading
 from dataclasses import asdict, dataclass
@@ -285,16 +285,19 @@ def _one_blas_thread():
 
 def predict(params: ModelParams, x) -> Partition:
     """Hard cluster labels: argmax of the assignment probabilities, ties to the
-    lowest index (:func:`cluster_labels`).
+    lowest index (:func:`cluster_labels`), computed in this process on
+    OpenBLAS's current thread count."""
+    return Partition(cluster_labels(params, x), params.dims.num_clusters)
 
-    Computed with numpy's OpenBLAS on one thread, when its thread count can
-    be set, as every label of this package is, so that a row's label does
-    not depend on how many CPUs or threads there are, nor on the path that
-    labels it (:func:`load_eval_rows`).  The thread count is restored on
-    exit.
-    """
-    with _one_blas_thread():
-        return Partition(cluster_labels(params, x), params.dims.num_clusters)
+
+def _two_parts_large(path) -> bool:
+    """Whether ``path`` holds at least two parse parts' worth of bytes
+    (:func:`data.load_csv`), whatever the CPU count; False for a file that
+    cannot be read, which the one-process parse reports."""
+    try:
+        return os.stat(path).st_size >= 2 * data_io._PARALLEL_PART_BYTES
+    except OSError:
+        return False
 
 
 def load_eval_rows(
@@ -304,28 +307,33 @@ def load_eval_rows(
     set's statistics; the header's feature columns must be the names they
     were stored with (:func:`data.load_csv`).
 
-    While no Python thread but the main one is alive and when numpy's
-    OpenBLAS thread count can be set, a file that ``load_csv`` parses in
-    parts (on Linux, with at least 2 usable CPUs) is labelled where it is parsed
-    (:func:`data.label_csv`): each part standardizes its own rows and labels
-    them with :func:`cluster_labels` on one BLAS thread, which is set before
-    the fork and restored after.  Otherwise, and when a part fails, the
-    rows are loaded and standardized whole, and :func:`evaluate` labels them
-    with :func:`predict`, on one BLAS thread too: the same labels, whether
-    or not a part failed, and every error of the one-process parse.
+    A file of at least two parse parts' worth of bytes is labelled here, on
+    one OpenBLAS thread when its thread count can be set, which is set
+    before any fork and restored on exit.  While no Python thread but the
+    main one is alive and when that count can be set, a file that
+    ``load_csv`` parses in parts (on Linux, with at least 2 usable CPUs) is
+    labelled where it is parsed (:func:`data.label_csv`): each part
+    standardizes its own rows and labels them with :func:`cluster_labels`.
+    Otherwise, and when a part fails, the file is loaded whole, standardized
+    in place and labelled in this process: the same labels, whether or not
+    a part failed or how many CPUs there are, and every error of the
+    one-process parse.  A smaller file is returned as a :class:`Dataset`,
+    which :func:`evaluate` labels with :func:`predict`.
     """
 
     def label_rows(x):
         return cluster_labels(params, standardization.apply(x, out=x))
 
     names = standardization.feature_names
-    if threading.active_count() == 1 and data_io._part_count(path) >= 2:
-        with _one_blas_thread() as pinned:
-            rows = data_io.label_csv(path, label_rows, label_column, names) if pinned else None
-        if rows is not None:
-            return rows
-    dataset = data_io.load_csv(path, label_column, names)
-    return data_io.standardize(dataset, standardization)
+    if not _two_parts_large(path):
+        return data_io.standardize(data_io.load_csv(path, label_column, names), standardization)
+    with _one_blas_thread() as pinned:
+        if pinned and threading.active_count() == 1 and data_io._part_count(path) >= 2:
+            rows = data_io.label_csv(path, label_rows, label_column, names)
+            if rows is not None:
+                return rows
+        dataset = data_io.load_csv(path, label_column, names)
+        return LabelledRows(label_rows(dataset.X), dataset.truth)
 
 
 def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:
