@@ -249,6 +249,15 @@ class TestClusterProbabilities:
             assert all(rows.stop - rows.start > 1 for rows in blocks) or n == 1
             assert all(rows.stop - rows.start <= step + 1 for rows in blocks)
 
+    @pytest.mark.parametrize("offset", [0, 1, 3], ids=["whole_blocks", "one_row_tail", "short_tail"])
+    def test_labels_are_the_argmax_of_the_probabilities(self, monkeypatch, offset):
+        monkeypatch.setattr(model, "_BLOCK_ENTRIES", 8 * widest(ODD_DIMS))
+        p = init_params(4, ODD_DIMS)
+        x = np.random.default_rng(offset).normal(size=(6 * 8 + offset, ODD_DIMS.input_dim))
+        got = cluster_labels(p, x)
+        np.testing.assert_array_equal(got, np.argmax(cluster_probabilities(p, x), axis=1))
+        assert got.dtype == np.int64
+
     @pytest.mark.parametrize("threads", [None, 1, 2], ids=["default", "1", "2"])
     def test_rows_have_the_same_bits_in_every_block_of_two_or_more_rows(self, threads):
         # Parse parts split the rows of a CSV at line starts, not at block

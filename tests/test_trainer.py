@@ -1035,6 +1035,30 @@ class TestEvalRows:
         assert result == evaluate(params, standardize(load_csv(path, "label"), stats))
         assert_no_child_process()
 
+    @needs_blas
+    @pytest.mark.parametrize("fail", [ValueError("labelling failed"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_blas_count_restored_and_no_part_left_when_labelling_fails(
+        self, tmp_path, monkeypatch, cpus, fail
+    ):
+        import crossclust.data as data_module
+
+        path = tmp_path / "rows.csv"
+        stats = eval_csv(path, 60)
+        monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        count_producers(monkeypatch, cpus)
+        seen = watch_blas_in_parent(monkeypatch, fail)
+        before = BLAS.get_threads()
+        try:
+            BLAS.set_threads(2)
+            with pytest.raises(type(fail)):
+                load_eval_rows(label_params(3), stats, path, "label")
+            assert BLAS.get_threads() == 2
+        finally:
+            BLAS.set_threads(before)
+        assert set(seen) == {1}
+        assert_no_child_process()
+
     def test_header_other_than_the_stored_names_is_refused(self, tmp_path):
         path = tmp_path / "rows.csv"
         stats = eval_csv(path, 10)
