@@ -6,10 +6,9 @@ floats are written with shortest round-trip decimal formatting.
 :class:`Standardization` holds a training set's feature statistics, which a
 checkpoint stores so that evaluation shifts and scales rows as training did.
 
-The helpers that fork a process writing into a pipe (:func:`_fork_writer`,
-:func:`_read_exact`, :func:`_reap`) serve the parallel CSV parse (which can
-also label each part's rows, :func:`label_csv`), the trainer's augmentation
-producer and its inference workers.
+A large CSV is parsed in parts by processes forked through
+:mod:`crossclust.parallel`; :func:`label_csv` also labels each part's rows
+where it is parsed.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import io
 import itertools
 import os
 import pickle
-import signal
 import struct
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, CsvFormatError
 from .metrics import Partition
 
@@ -217,45 +215,44 @@ def load_csv(
     (see :func:`_parse_parallel`); the result and every error are those of
     the one-process parse.
     """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header, label_idx = _read_header(fh, path, label_column, feature_names)
-            parsed = _parse_parallel(path, len(header), label_idx)
-            if parsed is None:
-                parsed = _parse_serial(fh, path, len(header), label_idx)
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    x, ids, clusters = parsed
+    names, x, ids, clusters = _parse(path, label_column, feature_names)
     truth = None if ids is None else Partition(ids, clusters)
-    names = tuple(header[j] for j in range(len(header)) if j != label_idx)
     return Dataset(X=x, truth=truth, feature_names=names)
 
 
 def label_csv(
     path, label_rows, label_column: str | None = None, feature_names: tuple[str, ...] | None = None
-) -> LabelledRows | None:
-    """Parse a CSV in parts as :func:`load_csv` does, and reduce each part to
-    labels where it is parsed: ``label_rows(x)`` gets the part's feature rows
-    as a fresh (rows, d) float64 array of at least 2 finite rows, which it
-    may overwrite, and returns their int64 labels.  Only labels, label ids
-    and label tokens leave a part.
+) -> LabelledRows:
+    """Load a CSV as :func:`load_csv` does, and reduce its feature rows to
+    labels: ``label_rows(x)`` gets rows as a fresh (rows, d) float64 array of
+    finite values, which it may overwrite, and returns their int64 labels.
 
-    Returns None, and the caller loads the file with :func:`load_csv`, which
-    raises the file's error if it has one, unless :func:`load_csv` would
-    parse it in parts and every part succeeded.
+    A file that :func:`load_csv` parses in parts is labelled where each part
+    is parsed, at least 2 rows at a time, and only labels, label ids and
+    label tokens leave a part.  Otherwise, and when any part fails, the file
+    is parsed in one process and its rows are labelled in one call; every
+    error is that of :func:`load_csv`.
     """
+    _, labels, ids, clusters = _parse(path, label_column, feature_names, label_rows)
+    return LabelledRows(labels, None if ids is None else Partition(ids, clusters))
+
+
+def _parse(path, label_column, feature_names, label_rows=None):
+    """The body of :func:`load_csv` and, with ``label_rows``, of
+    :func:`label_csv`: ``(feature names, rows or their labels, label ids or
+    None, cluster count)``."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header, label_idx = _read_header(fh, path, label_column, feature_names)
-    except (CsvFormatError, UnicodeDecodeError):
-        return None
-    parsed = _parse_parallel(path, len(header), label_idx, label_rows)
-    if parsed is None:
-        return None
-    labels, ids, clusters = parsed
-    return LabelledRows(labels, None if ids is None else Partition(ids, clusters))
+            parsed = _parse_parallel(path, len(header), label_idx, label_rows)
+            if parsed is None:
+                x, ids, clusters = _parse_serial(fh, path, len(header), label_idx)
+                parsed = (x if label_rows is None else label_rows(x)), ids, clusters
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    names = tuple(header[j] for j in range(len(header)) if j != label_idx)
+    return (names, *parsed)
 
 
 def _read_header(fh, path: Path, label_column: str | None, feature_names) -> tuple[list, int | None]:
@@ -331,19 +328,12 @@ def _parse_serial(fh, path: Path, width: int, label_idx: int | None):
     return x, ids, len(seen)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 off Linux, where no writer process is forked."""
-    if not sys.platform.startswith("linux"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _part_count(path) -> int:
-    """How many parts :func:`_parse_parallel` splits ``path`` into: one per
-    usable CPU, each of at least ``_PARALLEL_PART_BYTES``; under 2, none.
-    0 for a file that cannot be read, which the one-process parse reports."""
+def _whole_parts(path) -> int:
+    """How many parts of ``_PARALLEL_PART_BYTES`` ``path`` holds, whatever
+    the CPU count; 0 for a file that cannot be read, which the one-process
+    parse reports."""
     try:
-        return min(_usable_cpus(), os.stat(path).st_size // _PARALLEL_PART_BYTES)
+        return os.stat(path).st_size // _PARALLEL_PART_BYTES
     except OSError:
         return 0
 
@@ -412,16 +402,6 @@ def _parse_part(path: Path, start: int, end: int, width: int, label_idx: int | N
     return table, list(seen)
 
 
-def _read_exact(fd: int, buf) -> None:
-    """Fill the writable buffer ``buf`` from ``fd``; EOFError if the writer quits first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            raise EOFError("writer process ended early")
-        view = view[got:]
-
-
 def _finish_part(table: np.ndarray, width: int, label_idx: int | None, label_rows):
     """What a parsed part sends besides its label tokens and ids: its feature
     rows, or their ``label_rows`` labels (:func:`label_csv`).  None when a
@@ -458,63 +438,13 @@ def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None, l
     return 0
 
 
-def _fork_writer(write, *args) -> tuple[int, int]:
-    """Fork a process that runs ``write(fd, *args)`` on the write end of a pipe.
-
-    Returns its pid and the pipe's read end; release both with :func:`_reap`.
-    The child leaves by ``os._exit`` with ``write``'s return value as its
-    status (1 if it raises), so it runs none of the parent's cleanup.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads (OpenBLAS's)
-            # forks.  The training CSV parsers and the augmentation producer
-            # run only numpy parsing, random draws and elementwise work and
-            # call no BLAS; the parsers that label eval rows
-            # (trainer.load_eval_rows) do, but only after their parent set
-            # OpenBLAS to one thread, so each BLAS call in the child runs on
-            # its one thread.  No lock a writer takes can be held by another
-            # thread, because forks happen only while this process runs no
-            # Python thread but the main one: the trainer starts a stage's
-            # helper thread after the stage's fork and joins it before the
-            # stage ends, and load_eval_rows forks only while no other
-            # thread is alive.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                status = write(write_fd, *args)
-            finally:
-                os._exit(status)
-    except BaseException:
-        os.close(read_fd)
-        raise
-    finally:
-        os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(children: list) -> None:
-    """Close the pipe of each ``(pid, read end)`` in ``children``, SIGKILL the
-    process and wait for it; ``children`` is left empty.  A writer that sent
-    its whole message has exited or is about to; any other is not needed."""
-    while children:
-        pid, fd = children.pop()
-        os.close(fd)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def _receive_head(fd: int) -> tuple[int, list]:
     """A part's row count and label tokens, the start of :func:`_send_part`'s message."""
     head = bytearray(16)
-    _read_exact(fd, head)
+    parallel.read_exact(fd, head)
     rows, blob_len = struct.unpack("<qq", head)
     blob = bytearray(blob_len)
-    _read_exact(fd, blob)
+    parallel.read_exact(fd, blob)
     return rows, pickle.loads(blob)
 
 
@@ -537,7 +467,7 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
     ``label_rows`` error, or a child that died or could not be started.
     Every child is reaped before this returns or raises.
     """
-    parts = _part_count(path)
+    parts = min(parallel.usable_cpus(), _whole_parts(path))
     if parts < 2:
         return None
     bounds = _part_bounds(path, parts)
@@ -549,9 +479,9 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
         try:
             for part in zip(bounds[1:-1], bounds[2:]):
                 children.append(
-                    _fork_writer(_send_part, path, part, width, label_idx, label_rows)
+                    parallel.fork_writer(_send_part, path, part, width, label_idx, label_rows)
                 )
-        except OSError:  # no process or pipe to spare
+        except OSError:  # no process or pipe to spare, or a second thread is alive
             return None
         try:
             own = _parse_part(path, bounds[0], bounds[1], width, label_idx)
@@ -592,9 +522,9 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
         del table
         try:
             for k, (_, fd) in enumerate(children, start=1):
-                _read_exact(fd, out[offsets[k] : offsets[k + 1]])
+                parallel.read_exact(fd, out[offsets[k] : offsets[k + 1]])
                 if ids is not None:
-                    _read_exact(fd, ids[offsets[k] : offsets[k + 1]])
+                    parallel.read_exact(fd, ids[offsets[k] : offsets[k + 1]])
         except EOFError:
             return None
         if ids is None:
@@ -605,7 +535,7 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
             ids[start:stop] = remap[ids[start:stop]]
         return out, ids, len(seen)
     finally:
-        _reap(children)
+        parallel.reap(children)
 
 
 def _records(path: Path):

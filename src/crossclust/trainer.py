@@ -15,16 +15,15 @@ evaluation pass never perturbs later draws.  The epoch-0 pass computes its
 loss without a gradient.
 
 Because the streams are positional, a stage's views can be made anywhere.
-On Linux with at least 2 usable CPUs, each stage forks one producer process
-that augments its batches in order and sends them down a pipe, while this
-process leaves the producer a CPU: OpenBLAS runs on at most one thread
-fewer than the usable CPUs (:func:`_stage_views`).  Elsewhere, or once a
-producer fails, views are computed in-process, with the same bits.  When
-that leaves OpenBLAS one thread and the batch is large, one helper thread
-computes half of each step's pairwise rows and one of its two chain
-products (:func:`_helper_thread`), again with the same bits.  A large CSV
-to evaluate is labelled on one OpenBLAS thread, in the processes that parse
-it (:func:`load_eval_rows`).
+A stage runs OpenBLAS on one thread wherever its count can be set, and then,
+with at least 2 usable CPUs, forks one producer process that augments its
+batches in order and sends them down a pipe (:func:`_stage_views`).
+Elsewhere, or once a producer fails, views are computed in-process, with the
+same bits.  At a large batch one helper thread computes half of each step's
+pairwise rows and one of its two chain products, again with the same bits.
+A large CSV to evaluate is labelled on one OpenBLAS thread, in the processes
+that parse it (:func:`load_eval_rows`).  :mod:`crossclust.parallel` holds
+the forks, the helper and the thread count.
 """
 
 from __future__ import annotations
@@ -32,15 +31,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import os
-import queue
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_io
+from . import parallel
 from .augment import augment_batch
 from .config import TrainConfig
 from .data import Dataset, LabelledRows, Standardization
@@ -57,7 +54,7 @@ from .model import (
     forward,
     init_params,
 )
-from .numerics import entropy, openblas
+from .numerics import entropy
 
 STAGE_INIT = "init"
 STAGE_C3 = "c3"
@@ -140,101 +137,48 @@ def _send_views(fd, stage, config, data, epochs) -> int:
 
 
 @contextlib.contextmanager
-def _helper_thread():
-    """Start one helper thread and yield ``split(first, second)``: it runs
-    ``second`` on the helper while the calling thread runs ``first``, and
-    returns ``(first(), second())`` once both have ended.  An exception
-    raised by either reaches the caller unchanged (``first``'s if both
-    raise).  The helper is joined on exit.  Yields None, for the serial
-    path, when no thread can be started."""
-    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def serve():
-        while (task := tasks.get()) is not None:
-            try:
-                outcome = task(), None
-            except BaseException as exc:
-                outcome = None, exc
-            del task  # it may hold the step's 2N x 2N buffer
-            results.put(outcome)
-
-    def split(first, second):
-        tasks.put(second)
-        try:
-            value = first()
-        finally:
-            other, error = results.get()
-        if error is not None:
-            raise error
-        return value, other
-
-    # a daemon, so that a helper a fault left running cannot block exit
-    thread = threading.Thread(target=serve, name="crossclust-stage-helper", daemon=True)
-    try:
-        thread.start()
-    except RuntimeError:  # no thread to spare
-        yield None
-        return
-    try:
-        yield split
-    finally:
-        tasks.put(None)
-        thread.join()
-
-
-@contextlib.contextmanager
 def _stage_views(stage, config, data, epochs):
     """Yield ``(views, split)``: ``views(epoch, batch, idx)`` gives the two
     augmented views of each batch of ``epochs`` stacked in one (2N, d)
     array, the forward pass's input and the one copy a step keeps of them,
     asked for in batch order; ``split`` is the stage's helper
-    (:func:`_helper_thread`) or None.
+    (:func:`parallel.helper_thread`) or None.
 
-    On Linux with at least 2 usable CPUs, and when the thread count of
-    numpy's OpenBLAS can be set, one forked producer (:func:`_send_views`)
-    augments the batches ahead of training and views are read from its
-    pipe straight into that array; for the whole stage this process runs
-    BLAS on at most one thread fewer than the usable CPUs, so the producer
-    keeps a CPU.
-    Otherwise, and from the batch where a producer fails or if none could
-    be started, views are computed here.  When the stage runs BLAS on one
-    thread and its stacked batch has at least ``_HELPER_MIN_ROWS`` rows, a
-    helper thread starts after the fork, so no thread of this process but
-    the main one is alive when it forks.  The helper is joined, the producer
-    killed and reaped, and the thread count restored, on every exit.
+    The stage runs numpy's OpenBLAS on one thread wherever its count can be
+    set (:func:`parallel.one_blas_thread`), whatever the CPU count.  While
+    that holds and at least 2 CPUs are usable, one forked producer
+    (:func:`_send_views`) augments the batches ahead of training and views
+    are read from its pipe straight into that array, and a stacked batch of
+    at least ``_HELPER_MIN_ROWS`` rows starts a helper thread after the
+    fork.  Otherwise, and from the batch where a producer fails or if none
+    could be started, views are computed here.  The helper is joined, the
+    producer killed and reaped, and the thread count restored, on every exit.
     """
     here = functools.partial(_augment, stage, config, data)
-    cpus = data_io._usable_cpus()
-    blas = openblas() if cpus >= 2 else None
-    if blas is None:
-        yield here, None
-        return
-    get_threads, set_threads = blas.get_threads, blas.set_threads
-    threads, children = get_threads(), []
+    children = []
 
     def views(epoch, batch, idx):
         if children:
             x = np.empty((2 * len(idx), data.d))
             try:
-                data_io._read_exact(children[0][1], x)
+                parallel.read_exact(children[0][1], x)
                 return x
             except EOFError:  # the producer died: the rest is computed here
-                data_io._reap(children)
+                parallel.reap(children)
         return here(epoch, batch, idx)
 
-    try:
-        # Set whether or not a producer runs: OpenBLAS rounds some shapes
-        # differently on one thread and on two, and a stage's bits must not
-        # depend on the producer's fate.
-        set_threads(min(threads, cpus - 1))
-        with contextlib.suppress(OSError):  # no process or pipe to spare
-            children.append(data_io._fork_writer(_send_views, stage, config, data, epochs))
-        helper = get_threads() == 1 and 2 * config.batch_size >= _HELPER_MIN_ROWS
-        with _helper_thread() if helper else contextlib.nullcontext() as split:
-            yield views, split
-    finally:
-        data_io._reap(children)
-        set_threads(threads)
+    with parallel.one_blas_thread() as pinned:
+        if not pinned or parallel.usable_cpus() < 2:
+            yield here, None
+            return
+        try:
+            with contextlib.suppress(OSError):  # no process or pipe to spare, or a second thread
+                children.append(parallel.fork_writer(_send_views, stage, config, data, epochs))
+            helper = 2 * config.batch_size >= _HELPER_MIN_ROWS
+            with parallel.helper_thread() if helper else contextlib.nullcontext() as split:
+                yield views, split
+        finally:
+            parallel.reap(children)
 
 
 def _model_dims(config: TrainConfig, data: Dataset) -> ModelDims:
@@ -266,38 +210,11 @@ def _batch_forward(params, x, stage, epoch, batch, idx):
         ) from None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread and restore its
-    count on exit.  Yields whether the count could be set; where it cannot,
-    nothing is changed."""
-    blas = openblas()
-    if blas is None:
-        yield False
-        return
-    threads = blas.get_threads()
-    try:
-        blas.set_threads(1)
-        yield True
-    finally:
-        blas.set_threads(threads)
-
-
 def predict(params: ModelParams, x) -> Partition:
     """Hard cluster labels: argmax of the assignment probabilities, ties to the
     lowest index (:func:`cluster_labels`), computed in this process on
     OpenBLAS's current thread count."""
     return Partition(cluster_labels(params, x), params.dims.num_clusters)
-
-
-def _two_parts_large(path) -> bool:
-    """Whether ``path`` holds at least two parse parts' worth of bytes
-    (:func:`data.load_csv`), whatever the CPU count; False for a file that
-    cannot be read, which the one-process parse reports."""
-    try:
-        return os.stat(path).st_size >= 2 * data_io._PARALLEL_PART_BYTES
-    except OSError:
-        return False
 
 
 def load_eval_rows(
@@ -307,31 +224,29 @@ def load_eval_rows(
     set's statistics; the header's feature columns must be the names they
     were stored with (:func:`data.load_csv`).
 
-    A file of at least two parse parts' worth of bytes is labelled here, on
-    one OpenBLAS thread when its thread count can be set, which is set
-    before any fork and restored on exit.  While no Python thread but the
-    main one is alive and when that count can be set, a file that
-    ``load_csv`` parses in parts (on Linux, with at least 2 usable CPUs) is
-    labelled where it is parsed (:func:`data.label_csv`): each part
-    standardizes its own rows and labels them with :func:`cluster_labels`.
-    Otherwise, and when a part fails, the file is loaded whole, standardized
-    in place and labelled in this process: the same labels, whether or not
-    a part failed or how many CPUs there are, and every error of the
-    one-process parse.  A smaller file is returned as a :class:`Dataset`,
-    which :func:`evaluate` labels with :func:`predict`.
+    A file of at least two parse parts' worth of bytes is labelled on one
+    OpenBLAS thread (:func:`parallel.one_blas_thread`), set before any fork
+    and restored on exit.  Where that count can be set,
+    :func:`data.label_csv` labels it: each part standardizes its own rows
+    and labels them with :func:`cluster_labels` where it is parsed, or the
+    whole file is labelled after a one-process parse.  Where it cannot, no
+    forked process calls BLAS: the file is loaded with
+    :func:`data.load_csv`, standardized in place and labelled here.  Either
+    way the labels do not depend on the CPU count or on whether a part
+    failed, and every error is that of the one-process parse.  A smaller
+    file is returned as a :class:`Dataset`, which :func:`evaluate` labels
+    with :func:`predict`.
     """
 
     def label_rows(x):
         return cluster_labels(params, standardization.apply(x, out=x))
 
     names = standardization.feature_names
-    if not _two_parts_large(path):
+    if data_io._whole_parts(path) < 2:
         return data_io.standardize(data_io.load_csv(path, label_column, names), standardization)
-    with _one_blas_thread() as pinned:
-        if pinned and threading.active_count() == 1 and data_io._part_count(path) >= 2:
-            rows = data_io.label_csv(path, label_rows, label_column, names)
-            if rows is not None:
-                return rows
+    with parallel.one_blas_thread() as pinned:
+        if pinned:
+            return data_io.label_csv(path, label_rows, label_column, names)
         dataset = data_io.load_csv(path, label_column, names)
         return LabelledRows(label_rows(dataset.X), dataset.truth)
 

@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crossclust import data as data_module
+from crossclust import parallel
 from crossclust.cli import main
 from crossclust.config import DimsSpec, TrainConfig, config_from_dict, load_config
 from crossclust.data import (
     Dataset,
+    LabelledRows,
     Standardization,
     generate_blobs,
     label_csv,
@@ -388,7 +390,7 @@ def force_parts(monkeypatch) -> list:
     returned (None where the file fell back to the one-process parse).
     """
     monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
-    monkeypatch.setattr(data_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     results = []
     parse = data_module._parse_parallel
 
@@ -534,11 +536,11 @@ class TestLoadCsvInParts:
         if case != "small_file":
             monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
         if case == "one_cpu":
-            monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         if case == "not_linux":
-            monkeypatch.setattr(data_module.sys, "platform", "darwin")
+            monkeypatch.setattr(parallel.sys, "platform", "darwin")
 
         def no_fork():
             raise AssertionError("forked")
@@ -605,20 +607,36 @@ class TestLabelCsv:
         [(b"1e-3\n", b"oops\n"), (b"1e-3\n", b"nan\n"), (b",t,", b',"t",'), (b"a,label", b"x,label")],
         ids=["non_numeric", "non_finite", "quoted_label", "other_header"],
     )
-    def test_failing_part_or_header_gives_none(self, tmp_path, monkeypatch, old, new):
+    def test_failing_part_or_header_gives_the_one_process_labels_or_error(
+        self, tmp_path, monkeypatch, old, new
+    ):
         header, rows = parts_csv().encode().split(b"\r\n", 1)
         text = header + b"\r\n" + b"0.5,p,1\n" * 1250 + rows
         path = tmp_path / "parts.csv"
         path.write_bytes(text[::-1].replace(old[::-1], new[::-1], 1)[::-1])  # the last match
+
+        def outcome(parse):
+            try:
+                got = parse()
+            except CsvFormatError as exc:
+                return str(exc), exc.row, exc.col
+            return got.labels.tolist(), got.truth.labels.tolist()
+
+        def one_process():
+            data = load_csv(path, "label", ("a", "b"))
+            return LabelledRows(first_feature_sign(data.X), data.truth)
+
+        want = outcome(one_process)
         results = force_parts(monkeypatch)
-        assert label_csv(path, first_feature_sign, "label", ("a", "b")) is None
+        assert outcome(lambda: label_csv(path, first_feature_sign, "label", ("a", "b"))) == want
         assert results == ([] if old.startswith(b"a,") else [None])
         assert_no_child_process()
 
     @pytest.mark.parametrize("where", ["parent", "child"])
-    def test_hook_error_in_any_part_gives_none(self, tmp_path, monkeypatch, where):
+    def test_hook_error_in_a_part_gives_the_one_process_result(self, tmp_path, monkeypatch, where):
         path = tmp_path / "parts.csv"
         path.write_text(parts_csv(), newline="")
+        want = first_feature_sign(load_csv(path, "label").X)
         results = force_parts(monkeypatch)
         parent = os.getpid()
 
@@ -627,35 +645,41 @@ class TestLabelCsv:
                 raise ValueError("labelling failed")
             return first_feature_sign(x)
 
-        assert label_csv(path, fails, "label") is None
+        if where == "parent":  # the parent's hook fails again on the whole file
+            with pytest.raises(ValueError, match="labelling failed"):
+                label_csv(path, fails, "label")
+        else:
+            np.testing.assert_array_equal(label_csv(path, fails, "label").labels, want)
         assert results == [None]
         assert_no_child_process()
 
-    def test_part_of_one_row_gives_none(self, tmp_path, monkeypatch):
+    def test_part_of_one_row_labels_the_whole_file_in_one_call(self, tmp_path, monkeypatch):
         # the first of two parts holds one long row
         path = tmp_path / "parts.csv"
         path.write_text("a,b\n1.0" + " " * 1000 + ",2.0\n3.0,4.0\n5.0,6.0\n")
         results = force_parts(monkeypatch)
-        monkeypatch.setattr(data_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         assert load_csv(path).n == 3 and results[0][0].shape == (3, 2)
         seen = []
-        assert label_csv(path, lambda x: seen.append(len(x)) or first_feature_sign(x)) is None
+        got = label_csv(path, lambda x: seen.append(len(x)) or first_feature_sign(x))
         assert results[1] is None
-        assert seen == []  # a one-row product rounds differently: no part is labelled alone
+        assert seen == [3]  # a one-row product rounds differently: no part is labelled alone
+        np.testing.assert_array_equal(got.labels, [1, 1, 1])
         assert_no_child_process()
 
-    def test_file_too_small_or_one_cpu_gives_none_without_a_fork(self, tmp_path, monkeypatch):
+    def test_file_too_small_or_one_cpu_is_labelled_without_a_fork(self, tmp_path, monkeypatch):
         path = tmp_path / "parts.csv"
         path.write_text(parts_csv(), newline="")
+        want = first_feature_sign(load_csv(path, "label").X)
 
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert label_csv(path, first_feature_sign, "label") is None
+        np.testing.assert_array_equal(label_csv(path, first_feature_sign, "label").labels, want)
         monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
-        monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
-        assert label_csv(path, first_feature_sign, "label") is None
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        np.testing.assert_array_equal(label_csv(path, first_feature_sign, "label").labels, want)
 
 
 class TestTrainConfig:

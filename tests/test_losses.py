@@ -19,8 +19,8 @@ from crossclust.losses import (
     positive_mask,
     twin_indices,
 )
-from crossclust.numerics import openblas, row_l2_normalize, row_softmax, similarity_matrix
-from crossclust.trainer import _helper_thread
+from crossclust.numerics import row_l2_normalize, row_softmax, similarity_matrix
+from crossclust.parallel import helper_thread, one_blas_thread
 
 from oracles import (
     c3_loss_reference,
@@ -64,16 +64,8 @@ def random_assignments(rng, n, m):
 def helper_split():
     """A stage helper's ``split`` with OpenBLAS on one thread, as training
     runs it (the thread count is left alone where it cannot be set)."""
-    blas = openblas()
-    before = blas.get_threads() if blas else None
-    if blas:
-        blas.set_threads(1)
-    try:
-        with _helper_thread() as split:
-            yield split
-    finally:
-        if blas:
-            blas.set_threads(before)
+    with one_blas_thread(), helper_thread() as split:
+        yield split
 
 
 class TestPositiveMask:

@@ -5,7 +5,6 @@ import re
 import signal
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from crossclust import parallel
 from crossclust.augment import AugmentConfig, augment_batch
 from crossclust.config import DimsSpec, TrainConfig
 from crossclust.data import (
@@ -40,7 +40,6 @@ from crossclust.model import ModelDims, backward, forward, init_params
 from crossclust.numerics import openblas, similarity_matrix
 from crossclust.trainer import (
     EpochRecord,
-    _helper_thread,
     evaluate,
     load_eval_rows,
     predict,
@@ -509,17 +508,16 @@ needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS whose thread c
 def count_producers(monkeypatch, cpus=None) -> list:
     """Report ``cpus`` usable CPUs (the real count when None) and return the
     list that gets one entry per process forked to write into a pipe."""
-    import crossclust.data as data_module
-
     if cpus is not None:
-        monkeypatch.setattr(data_module, "_usable_cpus", lambda: cpus)
-    forked, fork_writer = [], data_module._fork_writer
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    forked, fork_writer = [], parallel.fork_writer
 
     def spy(*args):
+        child = fork_writer(*args)
         forked.append(args[0].__name__)
-        return fork_writer(*args)
+        return child
 
-    monkeypatch.setattr(data_module, "_fork_writer", spy)
+    monkeypatch.setattr(parallel, "fork_writer", spy)
     return forked
 
 
@@ -583,7 +581,9 @@ class TestAugmentationProducer:
         assert_no_child_process()
 
     @needs_blas
-    def test_batch_250_pins_the_bits_of_one_blas_thread_on_two_cpus(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2], ids=["default_1_thread", "default_2_threads"])
+    @pytest.mark.parametrize("cpus", [1, 2, 64], ids=["1_cpu", "2_cpus", "64_cpus"])
+    def test_batch_250_gives_the_bits_of_one_blas_thread_on_any_host(self, monkeypatch, cpus, threads):
         # OpenBLAS rounds the 500 x 500 cosine matrix differently on one
         # thread and on two, so this run tells the thread count apart.
         data = generate_blobs(seed=1, n=250, d=8, clusters=5, separation=6.0, sigma=1.0)
@@ -593,19 +593,19 @@ class TestAugmentationProducer:
         try:
             set_threads(1)
             want = train_in_process(cfg, data, monkeypatch)
-            set_threads(2)
-            forked = count_producers(monkeypatch, cpus=2)
+            set_threads(threads)
+            forked = count_producers(monkeypatch, cpus=cpus)
             got = train(cfg, data)
-            assert get_threads() == 2
+            assert get_threads() == threads
         finally:
             set_threads(before)
-        assert len(forked) == 2
+        assert len(forked) == (2 if cpus >= 2 else 0)
         assert_same_run(got, want)
 
     @needs_blas
     @pytest.mark.parametrize("cpus", [2, 64], ids=["two_cpus", "spare_cpus"])
     @pytest.mark.parametrize("ending", ["completes", "non_finite", "interrupt"])
-    def test_blas_leaves_the_producer_a_cpu_then_is_restored(
+    def test_blas_runs_on_one_thread_then_is_restored(
         self, small_data, monkeypatch, ending, cpus
     ):
         import crossclust.trainer as trainer
@@ -627,7 +627,7 @@ class TestAugmentationProducer:
         else:
             with pytest.raises(NonFiniteError if ending == "non_finite" else KeyboardInterrupt):
                 train(SMALL_CFG, small_data)
-        assert len(forked) == 2 and seen and set(seen) == {min(before, cpus - 1)}
+        assert len(forked) == 2 and seen and set(seen) == {1}
         assert get_threads() == before
         assert_no_child_process()
 
@@ -635,16 +635,13 @@ class TestAugmentationProducer:
     def test_producer_only_on_linux_with_two_cpus_and_settable_blas(
         self, small_data, monkeypatch, case
     ):
-        import crossclust.data as data_module
-        import crossclust.trainer as trainer
-
         want = train_in_process(SMALL_CFG, small_data, monkeypatch)
         forked = count_producers(monkeypatch, cpus={"one_cpu": 1, "no_blas": 2}.get(case))
         if case == "not_linux":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-            monkeypatch.setattr(data_module.sys, "platform", "darwin")
+            monkeypatch.setattr(sys, "platform", "darwin")
         if case == "no_blas":
-            monkeypatch.setattr(trainer, "openblas", lambda: None)
+            monkeypatch.setattr(parallel, "openblas", lambda: None)
         got = train(SMALL_CFG, small_data)
         producer = case == "real_affinity" and BLAS is not None and len(os.sched_getaffinity(0)) >= 2
         assert len(forked) == (2 if producer else 0)
@@ -689,9 +686,7 @@ HELPER_CFG = TrainConfig(M=3, init_epochs=1, c3_epochs=1, batch_size=384, seed=2
 def watch_helpers(monkeypatch) -> list:
     """Return the list that gets, per stage helper started, the number of
     threads alive once it runs."""
-    import crossclust.trainer as trainer
-
-    started, helper_thread = [], trainer._helper_thread
+    started, helper_thread = [], parallel.helper_thread
 
     @contextlib.contextmanager
     def spy():
@@ -699,7 +694,7 @@ def watch_helpers(monkeypatch) -> list:
             started.append(threading.active_count())
             yield split
 
-    monkeypatch.setattr(trainer, "_helper_thread", spy)
+    monkeypatch.setattr(parallel, "helper_thread", spy)
     return started
 
 
@@ -732,12 +727,18 @@ class TestStageHelper:
 
     @needs_blas
     @pytest.mark.parametrize(
-        "cpus, cfg",
-        [(2, HELPER_CFG), (64, HELPER_CFG), (1, HELPER_CFG), (2, SMALL_CFG)],
-        ids=["two_cpus", "spare_cpus", "one_cpu", "small_batch"],
+        "cpus, cfg, blas",
+        [
+            (2, HELPER_CFG, True),
+            (64, HELPER_CFG, True),
+            (1, HELPER_CFG, True),
+            (2, SMALL_CFG, True),
+            (2, HELPER_CFG, False),
+        ],
+        ids=["two_cpus", "spare_cpus", "one_cpu", "small_batch", "no_blas"],
     )
     def test_helper_only_while_blas_runs_on_one_thread_at_large_batch(
-        self, monkeypatch, cpus, cfg
+        self, monkeypatch, cpus, cfg, blas
     ):
         import crossclust.trainer as trainer
 
@@ -759,9 +760,11 @@ class TestStageHelper:
         data = HELPER_DATA if cfg is HELPER_CFG else generate_blobs(
             seed=11, n=64, d=6, clusters=3, separation=6.0, sigma=1.0
         )
+        if not blas:
+            monkeypatch.setattr(parallel, "openblas", lambda: None)
         train(cfg, data)
-        threads = min(before, cpus - 1) if cpus >= 2 else before
-        helper = cpus >= 2 and threads == 1 and 2 * cfg.batch_size >= trainer._HELPER_MIN_ROWS
+        threads = 1 if blas else before  # whatever the CPU count
+        helper = blas and cpus >= 2 and 2 * cfg.batch_size >= trainer._HELPER_MIN_ROWS
         assert seen and set(seen) == {(threads, helper)}
         assert helpers == ([2, 2] if helper else [])  # the main thread and one helper
         assert get_threads() == before
@@ -772,14 +775,14 @@ class TestStageHelper:
 
         path = tmp_path / "train.csv"
         save_csv(HELPER_DATA, path)
-        forks, fork_writer = [], data_module._fork_writer
+        forks, fork_writer = [], parallel.fork_writer
 
         def spy(write, *args):
             forks.append((write.__name__, threading.active_count()))
             return fork_writer(write, *args)
 
-        monkeypatch.setattr(data_module, "_fork_writer", spy)
-        monkeypatch.setattr(data_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "fork_writer", spy)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
         helpers = watch_helpers(monkeypatch)
         for _ in range(2):
@@ -826,33 +829,6 @@ class TestStageHelper:
         got = train(HELPER_CFG, HELPER_DATA)
         assert helpers == [1, 1]  # both stages went on without a helper
         assert_same_run(got, want)
-
-    def test_exception_on_the_helper_reaches_the_caller_unchanged(self):
-        error = ValueError("raised on the helper")
-
-        def fail():
-            raise error
-
-        with _helper_thread() as split:
-            assert split(lambda: 1, lambda: 2) == (1, 2)
-            with pytest.raises(ValueError) as exc:
-                split(lambda: 1, fail)
-            assert exc.value is error
-            assert split(lambda: 3, lambda: 4) == (3, 4)
-        assert_main_thread_only()
-
-    def test_caller_exception_is_raised_once_the_helper_is_done(self):
-        done = []
-
-        def slow():
-            time.sleep(0.05)
-            done.append(True)
-
-        with _helper_thread() as split:
-            with pytest.raises(KeyError):
-                split(lambda: {}["missing"], slow)
-            assert done == [True]
-        assert_main_thread_only()
 
 
 BLOCK_ROWS = 8  # rows per label block in the tests below
@@ -914,7 +890,7 @@ class TestPredictThreads:
         forked = count_producers(monkeypatch)
         seen = watch_blas_in_parent(monkeypatch)
         lookups = []
-        monkeypatch.setattr(trainer, "openblas", lambda: lookups.append(1) or BLAS)
+        monkeypatch.setattr(parallel, "openblas", lambda: lookups.append(1) or BLAS)
         before = BLAS.get_threads()
         try:
             BLAS.set_threads(threads)
@@ -973,7 +949,6 @@ class TestEvalRows:
     )
     def test_every_path_gives_the_one_process_json(self, tmp_path, monkeypatch, case):
         import crossclust.data as data_module
-        import crossclust.trainer as trainer
 
         path = tmp_path / "rows.csv"
         stats = eval_csv(path, 60)
@@ -983,7 +958,7 @@ class TestEvalRows:
             monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
         forked = count_producers(monkeypatch, {"one_cpu": 1, "real_affinity": None}.get(case, 3))
         if case == "no_blas":
-            monkeypatch.setattr(trainer, "openblas", lambda: None)
+            monkeypatch.setattr(parallel, "openblas", lambda: None)
         if case == "dead_part":
             monkeypatch.setattr(data_module, "_send_part", lambda *args: os._exit(3))
         release = threading.Event()
@@ -999,9 +974,9 @@ class TestEvalRows:
         cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
         # a file of two parts' worth of bytes is labelled here, whatever the path
         assert isinstance(got, Dataset if case == "small_file" else LabelledRows)
-        # parts are labelled where they are parsed, or load_csv parses the file
-        # in parts after the dead parts of the first try
-        parsers = {"real_affinity": cpus - 1, "one_cpu": 0, "dead_part": 4, "small_file": 0}.get(case, 2)
+        # parts are labelled where they are parsed; after dead parts the file is
+        # parsed in one process, and no process forks beside a second thread
+        parsers = {"real_affinity": cpus - 1, "one_cpu": 0, "second_thread": 0, "small_file": 0}.get(case, 2)
         assert len(forked) == parsers
         assert evaluate(params, got) == want
         assert_no_child_process()
@@ -1029,9 +1004,9 @@ class TestEvalRows:
         finally:
             BLAS.set_threads(before)
         # the parent labels its own part, then, if the parse in parts failed
-        # after it, every row again in evaluate
+        # after it, every row again after the one-process parse
         assert seen == {"parts": [1], "dead_part": [1, 1]}.get(case, [1])
-        assert len(forked) == {"parts": 2, "one_cpu": 0, "failed_fork": 2, "dead_part": 4}[case]
+        assert len(forked) == {"parts": 2, "one_cpu": 0, "failed_fork": 0, "dead_part": 2}[case]
         assert result == evaluate(params, standardize(load_csv(path, "label"), stats))
         assert_no_child_process()
 
