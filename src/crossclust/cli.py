@@ -165,7 +165,8 @@ def cmd_eval(args, parser) -> int:
             f"note: {args.checkpoint} is a format-1 checkpoint without the training statistics; "
             f"standardizing {args.data} with its own"
         )
-        dataset = standardize(load_csv(args.data, label_column=args.label_column))
+        dataset = load_csv(args.data, label_column=args.label_column)
+        Standardization.of(dataset).apply(dataset.X, out=dataset.X)
     else:
         dataset = load_eval_rows(params, stats, args.data, args.label_column)
     result = evaluate(params, dataset)

@@ -13,6 +13,7 @@ where it is parsed.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import io
@@ -36,6 +37,7 @@ _CENTER_MARGIN = 1.05  # typical center spacing sits just above the contracted f
 _MAX_CELL_CHARS = 2**31 - 1  # csv's cell limit in fault re-reads; fits a 32-bit C long
 _QUOTED_CHARS = 32  # a cell longer than this is cut in error messages
 _PARALLEL_PART_BYTES = 2 << 20  # the smallest part of a CSV worth a forked parser
+_PART_BUFFER_BYTES = 64 << 10  # a part's read buffer; 8 KiB ones cost 5-7 ms more per 50k-row part
 
 
 @dataclass(frozen=True)
@@ -221,11 +223,15 @@ def load_csv(
 
 
 def label_csv(
-    path, label_rows, label_column: str | None = None, feature_names: tuple[str, ...] | None = None
+    path, label_rows, standardization: Standardization, label_column: str | None = None
 ) -> LabelledRows:
-    """Load a CSV as :func:`load_csv` does, and reduce its feature rows to
-    labels: ``label_rows(x)`` gets rows as a fresh (rows, d) float64 array of
-    finite values, which it may overwrite, and returns their int64 labels.
+    """Load a CSV as :func:`load_csv` does, with ``standardization``'s
+    feature names, and reduce its feature rows, standardized with it
+    (:meth:`Standardization.apply` bit for bit), to labels:
+    ``label_rows(x)`` gets rows as a fresh (rows, d) float64 array of finite
+    values, which it may overwrite, and returns their int64 labels.  The
+    rows are standardized as they are taken from the parsed table, so no
+    unstandardized copy of them is made.
 
     A file that :func:`load_csv` parses in parts is labelled where each part
     is parsed, at least 2 rows at a time, and only labels, label ids and
@@ -233,21 +239,24 @@ def label_csv(
     is parsed in one process and its rows are labelled in one call; every
     error is that of :func:`load_csv`.
     """
-    _, labels, ids, clusters = _parse(path, label_column, feature_names, label_rows)
+    names = standardization.feature_names
+    _, labels, ids, clusters = _parse(path, label_column, names, label_rows, standardization)
     return LabelledRows(labels, None if ids is None else Partition(ids, clusters))
 
 
-def _parse(path, label_column, feature_names, label_rows=None):
-    """The body of :func:`load_csv` and, with ``label_rows``, of
-    :func:`label_csv`: ``(feature names, rows or their labels, label ids or
-    None, cluster count)``."""
+def _parse(path, label_column, feature_names, label_rows=None, stats=None):
+    """The body of :func:`load_csv` and, with ``label_rows`` (and ``stats``),
+    of :func:`label_csv`: ``(feature names, rows or their labels, label ids
+    or None, cluster count)``."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header, label_idx = _read_header(fh, path, label_column, feature_names)
-            parsed = _parse_parallel(path, len(header), label_idx, label_rows)
+            parsed = _parse_parallel(path, len(header), label_idx, label_rows, stats)
             if parsed is None:
-                x, ids, clusters = _parse_serial(fh, path, len(header), label_idx)
+                table, ids, clusters = _parse_serial(fh, path, len(header), label_idx)
+                x = _feature_rows(table, label_idx, stats)
+                del table
                 parsed = (x if label_rows is None else label_rows(x)), ids, clusters
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -279,18 +288,18 @@ def _read_header(fh, path: Path, label_column: str | None, feature_names) -> tup
     return header, label_idx
 
 
-def _read_table(fh, label_idx: int | None, seen: dict) -> np.ndarray:
-    """``np.loadtxt`` of the data rows left in ``fh`` as one float64 table.
+def _read_table(fh, label_idx: int | None) -> tuple[np.ndarray, dict]:
+    """``np.loadtxt`` of the data rows left in ``fh``, a text file or a binary
+    one whose byte lines loadtxt decodes as UTF-8, as one float64 table.
 
     The label column's tokens become cluster ids in order of first
-    appearance, recorded in ``seen`` (token -> id).
+    appearance; returns the table and those ids (token -> id).
     """
-    converters = {}
-    if label_idx is not None:
-        converters[label_idx] = lambda tok: seen.setdefault(tok, len(seen))
+    seen = collections.defaultdict(itertools.count().__next__)  # a new token takes the next id
+    converters = {} if label_idx is None else {label_idx: seen.__getitem__}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected by the caller
-        return np.loadtxt(
+        table = np.loadtxt(
             fh,
             dtype=np.float64,
             delimiter=",",
@@ -300,17 +309,18 @@ def _read_table(fh, label_idx: int | None, seen: dict) -> np.ndarray:
             converters=converters,
             encoding="utf-8",  # numpy < 2 defaults to passing converters Latin-1 bytes
         )
+    return table, seen
 
 
 def _parse_serial(fh, path: Path, width: int, label_idx: int | None):
     """Parse the data rows after the header in one process.
 
-    Returns ``(X, label ids or None, cluster count)``; raises the
-    :class:`CsvFormatError` of the file's first fault.
+    Returns ``(table, label ids or None, cluster count)``, the table holding
+    the label column as ids; raises the :class:`CsvFormatError` of the
+    file's first fault.
     """
-    seen: dict[str, int] = {}
     try:
-        table = _read_table(fh, label_idx, seen)
+        table, seen = _read_table(fh, label_idx)
     except ValueError:
         # A ragged row or a bad cell; a decode error re-raises from the re-read.
         raise _first_fault(path, width, label_idx) from None
@@ -318,14 +328,28 @@ def _parse_serial(fh, path: Path, width: int, label_idx: int | None):
         raise CsvFormatError(f"{path} has a header but no data rows")
     if table.shape[1] != width:  # loadtxt takes its width from the first data row
         raise _first_fault(path, width, label_idx)
-    feature_idx = [j for j in range(width) if j != label_idx]
-    x = table if label_idx is None else table.take(feature_idx, axis=1)
-    finite = np.isfinite(x)
+    finite = np.isfinite(table)  # label ids are finite
     if not finite.all():
-        record, k = divmod(int(np.argmin(finite)), x.shape[1])
-        raise _non_finite_fault(path, record, feature_idx[k])
+        record, col = divmod(int(np.argmin(finite)), width)
+        raise _non_finite_fault(path, record, col)
     ids = None if label_idx is None else table[:, label_idx].astype(np.int64)
-    return x, ids, len(seen)
+    return table, ids, len(seen)
+
+
+def _feature_rows(table: np.ndarray, label_idx: int | None, stats: Standardization | None = None):
+    """A parsed table's feature columns as a fresh C-ordered array, with
+    ``stats`` standardized (:meth:`Standardization.apply` bit for bit) as
+    they are taken.  A table without a label column is its own feature
+    array, standardized in place."""
+    if label_idx is None:
+        return table if stats is None else stats.apply(table, out=table)
+    if stats is None:
+        return table.take([j for j in range(table.shape[1]) if j != label_idx], axis=1)
+    x = np.empty((len(table), table.shape[1] - 1))
+    np.subtract(table[:, :label_idx], stats.mean[:label_idx], out=x[:, :label_idx])
+    np.subtract(table[:, label_idx + 1 :], stats.mean[label_idx:], out=x[:, label_idx:])
+    x /= stats.std
+    return x
 
 
 def _whole_parts(path) -> int:
@@ -391,28 +415,36 @@ def _parse_part(path: Path, start: int, end: int, width: int, label_idx: int | N
     when the part holds a double quote (a quoted record may span a part
     boundary) or a table of the wrong width.  Raises what ``np.loadtxt``
     raises.
+
+    ``np.loadtxt`` reads the part's byte lines, which end at line feeds
+    only.  A lone carriage return before a line's end, which the
+    one-process parse's text file reads as a line end, is a loadtxt error
+    here.
     """
-    seen: dict[str, int] = {}
     with open(path, "rb", buffering=0) as raw_file:
         raw = _ByteRange(raw_file.fileno(), start, end)
-        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as text:
-            table = _read_table(text, label_idx, seen)
+        with io.BufferedReader(raw, _PART_BUFFER_BYTES) as lines:
+            table, seen = _read_table(lines, label_idx)
     if raw.quoted or table.shape[1] != width:
         return None
     return table, list(seen)
 
 
-def _finish_part(table: np.ndarray, width: int, label_idx: int | None, label_rows):
+def _finish_part(table: np.ndarray, label_idx: int | None, label_rows, stats=None):
     """What a parsed part sends besides its label tokens and ids: its feature
-    rows, or their ``label_rows`` labels (:func:`label_csv`).  None when a
-    feature is not finite, or when a part to label has fewer than 2 rows."""
-    x = table if label_idx is None else table.take([j for j in range(width) if j != label_idx], axis=1)
-    if not np.isfinite(x).all() or (label_rows is not None and len(x) < 2):
+    rows, or the ``label_rows`` labels of those rows standardized with
+    ``stats`` (:func:`label_csv`).  None when a feature is not finite, or
+    when a part to label has fewer than 2 rows."""
+    # the label column holds ids, which are finite
+    if not np.isfinite(table).all() or (label_rows is not None and len(table) < 2):
         return None
+    x = _feature_rows(table, label_idx, stats)
     return x if label_rows is None else np.asarray(label_rows(x), dtype=np.int64)
 
 
-def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None, label_rows=None) -> int:
+def _send_part(
+    fd: int, path: Path, bounds, width: int, label_idx: int | None, label_rows=None, stats=None
+) -> int:
     """Child side of :func:`_parse_parallel`: parse one part and write it to ``fd``.
 
     The message is the row count and the token blob's length (two int64),
@@ -425,7 +457,7 @@ def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None, l
     if part is None:
         return 1
     table, tokens = part
-    done = _finish_part(table, width, label_idx, label_rows)
+    done = _finish_part(table, label_idx, label_rows, stats)
     if done is None:
         return 1
     blob = pickle.dumps(tokens)
@@ -448,7 +480,7 @@ def _receive_head(fd: int) -> tuple[int, list]:
     return rows, pickle.loads(blob)
 
 
-def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=None):
+def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=None, stats=None):
     """Parse the data rows in parts, one per usable CPU, as :func:`_parse_serial` would.
 
     The parent forks one process per part after the first and parses the
@@ -456,8 +488,9 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
     matrix, the others' read from their pipes straight into it.  With
     ``label_rows``, every part, the parent's too, is reduced to its labels
     where it was parsed (:func:`label_csv`), and the labels land in one
-    int64 vector instead.  Label ids are merged in part order, so
-    first-appearance numbering is that of the whole file.
+    int64 vector instead; ``stats`` standardizes the rows to label.  Label
+    ids are merged in part order, so first-appearance numbering is that of
+    the whole file.
 
     Returns None, and the caller parses the file in one process, when the
     file is too small for two parts of ``_PARALLEL_PART_BYTES``, or when
@@ -479,7 +512,7 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
         try:
             for part in zip(bounds[1:-1], bounds[2:]):
                 children.append(
-                    parallel.fork_writer(_send_part, path, part, width, label_idx, label_rows)
+                    parallel.fork_writer(_send_part, path, part, width, label_idx, label_rows, stats)
                 )
         except OSError:  # no process or pipe to spare, or a second thread is alive
             return None
@@ -494,7 +527,7 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
         if label_rows is not None:
             # labelled before the children's messages are awaited, while they label theirs
             try:
-                done = _finish_part(table, width, label_idx, label_rows)
+                done = _finish_part(table, label_idx, label_rows, stats)
             except (ValueError, ArithmeticError):  # the one-process path raises it, after any CSV error
                 done = None
             if done is None:

@@ -234,21 +234,24 @@ def load_eval_rows(
     :func:`data.load_csv`, standardized in place and labelled here.  Either
     way the labels do not depend on the CPU count or on whether a part
     failed, and every error is that of the one-process parse.  A smaller
-    file is returned as a :class:`Dataset`, which :func:`evaluate` labels
-    with :func:`predict`.
+    file is returned as a :class:`Dataset`, standardized in place, which
+    :func:`evaluate` labels with :func:`predict`.
     """
-
-    def label_rows(x):
-        return cluster_labels(params, standardization.apply(x, out=x))
-
     names = standardization.feature_names
+
+    def load_standardized() -> Dataset:
+        dataset = data_io.load_csv(path, label_column, names)
+        standardization.apply(dataset.X, out=dataset.X)
+        return dataset
+
     if data_io._whole_parts(path) < 2:
-        return data_io.standardize(data_io.load_csv(path, label_column, names), standardization)
+        return load_standardized()
     with parallel.one_blas_thread() as pinned:
         if pinned:
-            return data_io.label_csv(path, label_rows, label_column, names)
-        dataset = data_io.load_csv(path, label_column, names)
-        return LabelledRows(label_rows(dataset.X), dataset.truth)
+            label_rows = functools.partial(cluster_labels, params)
+            return data_io.label_csv(path, label_rows, standardization, label_column)
+        dataset = load_standardized()
+        return LabelledRows(cluster_labels(params, dataset.X), dataset.truth)
 
 
 def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:

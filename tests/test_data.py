@@ -425,10 +425,18 @@ def parts_csv(labeled: bool = True) -> str:
 
 
 class TestLoadCsvInParts:
-    @pytest.mark.parametrize("label_column", ["label", None])
-    def test_matches_one_process_parse(self, tmp_path, monkeypatch, label_column):
+    @pytest.mark.parametrize(
+        "label_column, later_tokens",
+        [("label", {}), (None, {}), ("label", {",t,": ",ť,", ",u,": ",ü€,"})],
+        ids=["label", "None", "non_ascii_label"],
+    )
+    def test_matches_one_process_parse(self, tmp_path, monkeypatch, label_column, later_tokens):
+        # later_tokens: labels first seen in the last part, renamed
+        text = parts_csv(label_column is not None)
+        for old, new in later_tokens.items():
+            text = text.replace(old, new)
         path = tmp_path / "parts.csv"
-        path.write_text(parts_csv(label_column is not None), newline="")
+        path.write_text(text, newline="", encoding="utf-8")
         want = load_csv(path, label_column)
         results = force_parts(monkeypatch)
         got = load_csv(path, label_column)
@@ -453,10 +461,11 @@ class TestLoadCsvInParts:
             (b",t,", b',"t",'),
             (b"a,label", b'"a",label'),
             (b"a,label,b", b"a,label"),
+            (b"0e-3\n", b"0e-3\r"),
         ],
         ids=[
             "non_numeric", "ragged", "non_finite", "not_utf8", "quoted_label", "quoted_header",
-            "every_row_too_wide",
+            "every_row_too_wide", "lone_cr",
         ],
     )
     def test_failing_part_reruns_the_one_process_parse(self, tmp_path, monkeypatch, old, new):
@@ -583,6 +592,10 @@ def first_feature_sign(x):
     return (x[:, 0] > 0).astype(np.int64)
 
 
+# features "a" and "b" shifted by 0 and scaled by 1, which keeps every finite value's bits
+UNSCALED = Standardization(np.zeros(2), np.ones(2), ("a", "b"))
+
+
 class TestLabelCsv:
     @pytest.mark.parametrize("label_column", ["label", None])
     def test_labels_and_truth_are_those_of_the_whole_file(self, tmp_path, monkeypatch, label_column):
@@ -591,7 +604,7 @@ class TestLabelCsv:
         path.write_text(text, newline="")
         want = load_csv(path, label_column)
         results = force_parts(monkeypatch)
-        got = label_csv(path, first_feature_sign, label_column, ("a", "b"))
+        got = label_csv(path, first_feature_sign, UNSCALED, label_column)
         assert results[0] is not None
         np.testing.assert_array_equal(got.labels, first_feature_sign(want.X))
         assert got.labels.dtype == np.int64 and len(set(got.labels.tolist())) == 2
@@ -602,10 +615,36 @@ class TestLabelCsv:
             assert got.truth.num_clusters == want.truth.num_clusters == 6
         assert_no_child_process()
 
+    @pytest.mark.parametrize("label_column", ["label", None])
+    def test_standardized_rows_have_the_bits_of_apply(self, tmp_path, monkeypatch, label_column):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(label_column is not None), newline="")
+        stats = Standardization(np.array([0.3, -0.1]), np.array([0.7, 3.0]), ("a", "b"))
+        want = stats.apply(load_csv(path, label_column).X).view(np.int64)
+        for forced in (False, True):
+            results = force_parts(monkeypatch) if forced else []
+            for k in range(2):  # the hook's labels are the bits of standardized column k
+
+                def column_bits(x):
+                    return x[:, k].view(np.int64).copy()
+
+                got = label_csv(path, column_bits, stats, label_column)
+                np.testing.assert_array_equal(got.labels, want[:, k])
+            assert all(result is not None for result in results)
+        assert len(results) == 2
+        assert_no_child_process()
+
     @pytest.mark.parametrize(
         "old, new",
-        [(b"1e-3\n", b"oops\n"), (b"1e-3\n", b"nan\n"), (b",t,", b',"t",'), (b"a,label", b"x,label")],
-        ids=["non_numeric", "non_finite", "quoted_label", "other_header"],
+        [
+            (b"1e-3\n", b"oops\n"),
+            (b"1e-3\n", b"nan\n"),
+            (b",t,", b',"t",'),
+            (b"a,label", b"x,label"),
+            (b"0e-3\n", b"0e-3\r"),
+            (b",t,", b",\xff,"),
+        ],
+        ids=["non_numeric", "non_finite", "quoted_label", "other_header", "lone_cr", "not_utf8"],
     )
     def test_failing_part_or_header_gives_the_one_process_labels_or_error(
         self, tmp_path, monkeypatch, old, new
@@ -628,7 +667,7 @@ class TestLabelCsv:
 
         want = outcome(one_process)
         results = force_parts(monkeypatch)
-        assert outcome(lambda: label_csv(path, first_feature_sign, "label", ("a", "b"))) == want
+        assert outcome(lambda: label_csv(path, first_feature_sign, UNSCALED, "label")) == want
         assert results == ([] if old.startswith(b"a,") else [None])
         assert_no_child_process()
 
@@ -647,9 +686,9 @@ class TestLabelCsv:
 
         if where == "parent":  # the parent's hook fails again on the whole file
             with pytest.raises(ValueError, match="labelling failed"):
-                label_csv(path, fails, "label")
+                label_csv(path, fails, UNSCALED, "label")
         else:
-            np.testing.assert_array_equal(label_csv(path, fails, "label").labels, want)
+            np.testing.assert_array_equal(label_csv(path, fails, UNSCALED, "label").labels, want)
         assert results == [None]
         assert_no_child_process()
 
@@ -661,7 +700,7 @@ class TestLabelCsv:
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         assert load_csv(path).n == 3 and results[0][0].shape == (3, 2)
         seen = []
-        got = label_csv(path, lambda x: seen.append(len(x)) or first_feature_sign(x))
+        got = label_csv(path, lambda x: seen.append(len(x)) or first_feature_sign(x), UNSCALED)
         assert results[1] is None
         assert seen == [3]  # a one-row product rounds differently: no part is labelled alone
         np.testing.assert_array_equal(got.labels, [1, 1, 1])
@@ -676,10 +715,10 @@ class TestLabelCsv:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        np.testing.assert_array_equal(label_csv(path, first_feature_sign, "label").labels, want)
+        np.testing.assert_array_equal(label_csv(path, first_feature_sign, UNSCALED, "label").labels, want)
         monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        np.testing.assert_array_equal(label_csv(path, first_feature_sign, "label").labels, want)
+        np.testing.assert_array_equal(label_csv(path, first_feature_sign, UNSCALED, "label").labels, want)
 
 
 class TestTrainConfig:
