@@ -46,13 +46,6 @@ class AugmentConfig:
         if not 0.0 < lo <= hi:
             raise ConfigError("augment.scale_range", f"need 0 < lo <= hi, got ({lo}, {hi})")
 
-    def is_identity(self) -> bool:
-        return (
-            self.gaussian_noise_sigma == 0.0
-            and self.mask_rate == 0.0
-            and self.scale_range == (1.0, 1.0)
-        )
-
 
 _WORD = (1 << 64) - 1
 

@@ -6,9 +6,9 @@ floats are written with shortest round-trip decimal formatting.
 :class:`Standardization` holds a training set's feature statistics, which a
 checkpoint stores so that evaluation shifts and scales rows as training did.
 
-A large CSV is parsed in parts by processes forked through
-:mod:`crossclust.parallel`; :func:`label_csv` also labels each part's rows
-where it is parsed.
+:func:`load_csv` parses in one process.  :func:`label_csv` parses a large
+CSV in parts, in processes forked through :mod:`crossclust.parallel`, and
+labels each part's rows where it is parsed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import io
 import itertools
 import os
 import pickle
-import struct
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -210,12 +209,8 @@ def load_csv(
 
     Label values become cluster ids in order of first appearance.  Features
     are returned exactly as stored (no standardization), so a save/load round
-    trip reproduces the matrix bit-exactly.
-
-    On Linux, a file large enough to give every usable CPU a part of at
-    least ``_PARALLEL_PART_BYTES`` is parsed in parts by forked processes
-    (see :func:`_parse_parallel`); the result and every error are those of
-    the one-process parse.
+    trip reproduces the matrix bit-exactly.  The file is parsed in one
+    process.
     """
     names, x, ids, clusters = _parse(path, label_column, feature_names)
     truth = None if ids is None else Partition(ids, clusters)
@@ -233,11 +228,13 @@ def label_csv(
     rows are standardized as they are taken from the parsed table, so no
     unstandardized copy of them is made.
 
-    A file that :func:`load_csv` parses in parts is labelled where each part
-    is parsed, at least 2 rows at a time, and only labels, label ids and
-    label tokens leave a part.  Otherwise, and when any part fails, the file
-    is parsed in one process and its rows are labelled in one call; every
-    error is that of :func:`load_csv`.
+    On Linux, a file large enough to give every usable CPU a part of at
+    least ``_PARALLEL_PART_BYTES`` is parsed in parts by forked processes
+    (:func:`_parse_parallel`) and labelled where each part is parsed, at
+    least 2 rows at a time; only labels, label ids and label tokens leave a
+    part.  Otherwise, and when any part fails, the file is parsed in one
+    process and its rows are labelled in one call; every error is that of
+    :func:`load_csv`.
     """
     names = standardization.feature_names
     _, labels, ids, clusters = _parse(path, label_column, names, label_rows, standardization)
@@ -252,7 +249,9 @@ def _parse(path, label_column, feature_names, label_rows=None, stats=None):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header, label_idx = _read_header(fh, path, label_column, feature_names)
-            parsed = _parse_parallel(path, len(header), label_idx, label_rows, stats)
+            parsed = None
+            if label_rows is not None:
+                parsed = _parse_parallel(path, len(header), label_idx, label_rows, stats)
             if parsed is None:
                 table, ids, clusters = _parse_serial(fh, path, len(header), label_idx)
                 x = _feature_rows(table, label_idx, stats)
@@ -408,96 +407,65 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def _parse_part(path: Path, start: int, end: int, width: int, label_idx: int | None):
-    """``_read_table`` of the data rows in bytes ``[start, end)`` of ``path``.
+def _label_part(path: Path, bounds, width: int, label_idx: int | None, label_rows, stats):
+    """``_read_table`` of the data rows in bytes ``bounds`` (``[start, end)``)
+    of ``path``, labelled as :func:`label_csv` labels them.
 
-    Returns ``(table, label tokens in order of first appearance)``, or None
-    when the part holds a double quote (a quoted record may span a part
-    boundary) or a table of the wrong width.  Raises what ``np.loadtxt``
-    raises.
+    Returns ``(labels, ids, tokens)``: the ``label_rows`` labels of the
+    part's feature rows standardized with ``stats``, the part's label ids
+    (None without a label column) and its label tokens in order of first
+    appearance.  Returns None when the part holds a double quote (a quoted
+    record may span a part boundary), a table of the wrong width, a
+    non-finite cell, or fewer than 2 rows (a one-row product rounds
+    differently).  Raises what ``np.loadtxt`` and ``label_rows`` raise.
 
     ``np.loadtxt`` reads the part's byte lines, which end at line feeds
     only.  A lone carriage return before a line's end, which the
     one-process parse's text file reads as a line end, is a loadtxt error
     here.
     """
+    start, end = bounds
     with open(path, "rb", buffering=0) as raw_file:
         raw = _ByteRange(raw_file.fileno(), start, end)
         with io.BufferedReader(raw, _PART_BUFFER_BYTES) as lines:
             table, seen = _read_table(lines, label_idx)
-    if raw.quoted or table.shape[1] != width:
-        return None
-    return table, list(seen)
-
-
-def _finish_part(table: np.ndarray, label_idx: int | None, label_rows, stats=None):
-    """What a parsed part sends besides its label tokens and ids: its feature
-    rows, or the ``label_rows`` labels of those rows standardized with
-    ``stats`` (:func:`label_csv`).  None when a feature is not finite, or
-    when a part to label has fewer than 2 rows."""
     # the label column holds ids, which are finite
-    if not np.isfinite(table).all() or (label_rows is not None and len(table) < 2):
+    if raw.quoted or table.shape[1] != width or len(table) < 2 or not np.isfinite(table).all():
         return None
-    x = _feature_rows(table, label_idx, stats)
-    return x if label_rows is None else np.asarray(label_rows(x), dtype=np.int64)
+    labels = np.asarray(label_rows(_feature_rows(table, label_idx, stats)), dtype=np.int64)
+    # made once the standardized rows are freed, so not held at the part's peak
+    ids = None if label_idx is None else table[:, label_idx].astype(np.int64)
+    return labels, ids, list(seen)
 
 
-def _send_part(
-    fd: int, path: Path, bounds, width: int, label_idx: int | None, label_rows=None, stats=None
-) -> int:
-    """Child side of :func:`_parse_parallel`: parse one part and write it to ``fd``.
-
-    The message is the row count and the token blob's length (two int64),
-    the pickled label tokens, the part's :func:`_finish_part` output (feature
-    rows as C-ordered float64, or int64 labels), then the part's label ids
-    as int64.  Returns the exit status: 0 once the whole message is written,
-    1 if the part is not one the parent can use.
-    """
-    part = _parse_part(path, *bounds, width, label_idx)
+def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None, label_rows, stats) -> int:
+    """Child side of :func:`_parse_parallel`: pickle one part's
+    :func:`_label_part` tuple to ``fd``.  Returns the exit status: 0 once it
+    is written, 1 if the part is not one the parent can use."""
+    part = _label_part(path, bounds, width, label_idx, label_rows, stats)
     if part is None:
         return 1
-    table, tokens = part
-    done = _finish_part(table, label_idx, label_rows, stats)
-    if done is None:
-        return 1
-    blob = pickle.dumps(tokens)
     with open(fd, "wb") as out:
-        out.write(struct.pack("<qq", len(done), len(blob)))
-        out.write(blob)
-        out.write(memoryview(done).cast("B"))
-        if label_idx is not None:
-            out.write(memoryview(table[:, label_idx].astype(np.int64)).cast("B"))
+        pickle.dump(part, out)
     return 0
 
 
-def _receive_head(fd: int) -> tuple[int, list]:
-    """A part's row count and label tokens, the start of :func:`_send_part`'s message."""
-    head = bytearray(16)
-    parallel.read_exact(fd, head)
-    rows, blob_len = struct.unpack("<qq", head)
-    blob = bytearray(blob_len)
-    parallel.read_exact(fd, blob)
-    return rows, pickle.loads(blob)
+def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows, stats):
+    """Label the data rows in parts, one per usable CPU, as :func:`label_csv`'s
+    one-process parse would: ``(labels, label ids or None, cluster count)``.
 
-
-def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=None, stats=None):
-    """Parse the data rows in parts, one per usable CPU, as :func:`_parse_serial` would.
-
-    The parent forks one process per part after the first and parses the
-    first part itself.  Every part's feature rows land in one preallocated
-    matrix, the others' read from their pipes straight into it.  With
-    ``label_rows``, every part, the parent's too, is reduced to its labels
-    where it was parsed (:func:`label_csv`), and the labels land in one
-    int64 vector instead; ``stats`` standardizes the rows to label.  Label
-    ids are merged in part order, so first-appearance numbering is that of
-    the whole file.
+    The parent forks one process per part after the first and labels the
+    first part itself (:func:`_label_part`) while the children label theirs
+    and pickle them to their pipes (:func:`_send_part`).  Label ids are
+    merged in part order, so first-appearance numbering is that of the
+    whole file.
 
     Returns None, and the caller parses the file in one process, when the
     file is too small for two parts of ``_PARALLEL_PART_BYTES``, or when
     any part fails: a loadtxt error (a bad cell, a ragged row, a decode
     error), a table of the wrong width, a double quote in the data rows, a
-    non-finite cell, no data rows, a part of fewer than 2 rows to label, a
-    ``label_rows`` error, or a child that died or could not be started.
+    non-finite cell, a part of fewer than 2 rows, a ``label_rows`` error,
+    or a child that died, sent part of its message or could not be started.
     Every child is reaped before this returns or raises.
     """
     parts = min(parallel.usable_cpus(), _whole_parts(path))
@@ -517,58 +485,29 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows=No
         except OSError:  # no process or pipe to spare, or a second thread is alive
             return None
         try:
-            own = _parse_part(path, bounds[0], bounds[1], width, label_idx)
-            if own is None:
-                return None
-            table, tokens = own
-            heads = [(len(table), tokens)]
-        except ValueError:  # the one-process parse raises the file's own error
+            own = _label_part(path, bounds[:2], width, label_idx, label_rows, stats)
+        except (ValueError, ArithmeticError):  # the one-process parse raises it, after any CSV error
             return None
-        if label_rows is not None:
-            # labelled before the children's messages are awaited, while they label theirs
-            try:
-                done = _finish_part(table, label_idx, label_rows, stats)
-            except (ValueError, ArithmeticError):  # the one-process path raises it, after any CSV error
-                done = None
-            if done is None:
-                return None
+        if own is None:
+            return None
+        labelled = [own]
         try:
-            heads += [_receive_head(fd) for _, fd in children]
-        except EOFError:
+            for _, fd in children:
+                with open(fd, "rb", closefd=False) as pipe:
+                    labelled.append(pickle.load(pipe))
+        except (EOFError, pickle.UnpicklingError):  # a child failed, or died mid-message
             return None
-        offsets = np.cumsum([0] + [rows for rows, _ in heads]).tolist()
-        if offsets[-1] == 0:
-            return None
-        if label_rows is None:
-            feature_idx = [j for j in range(width) if j != label_idx]
-            out = np.empty((offsets[-1], len(feature_idx)))
-            np.take(table, feature_idx, axis=1, out=out[: offsets[1]], mode="clip")  # "raise" would buffer
-            if not np.isfinite(out[: offsets[1]]).all():
-                return None
-        else:
-            out = np.empty(offsets[-1], dtype=np.int64)
-            out[: offsets[1]] = done
-        ids = None
-        if label_idx is not None:
-            ids = np.empty(offsets[-1], dtype=np.int64)
-            ids[: offsets[1]] = table[:, label_idx]
-        del table
-        try:
-            for k, (_, fd) in enumerate(children, start=1):
-                parallel.read_exact(fd, out[offsets[k] : offsets[k + 1]])
-                if ids is not None:
-                    parallel.read_exact(fd, ids[offsets[k] : offsets[k + 1]])
-        except EOFError:
-            return None
-        if ids is None:
-            return out, None, 0
-        seen: dict[str, int] = {}
-        for (_, tokens), start, stop in zip(heads, offsets, offsets[1:]):
-            remap = np.array([seen.setdefault(tok, len(seen)) for tok in tokens], dtype=np.int64)
-            ids[start:stop] = remap[ids[start:stop]]
-        return out, ids, len(seen)
     finally:
         parallel.reap(children)
+    labels = np.concatenate([part_labels for part_labels, _, _ in labelled])
+    if label_idx is None:
+        return labels, None, 0
+    seen: dict[str, int] = {}
+    ids = [
+        np.array([seen.setdefault(tok, len(seen)) for tok in tokens], dtype=np.int64)[part_ids]
+        for _, part_ids, tokens in labelled
+    ]
+    return labels, np.concatenate(ids), len(seen)
 
 
 def _records(path: Path):

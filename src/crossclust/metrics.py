@@ -37,12 +37,6 @@ class Partition:
     def __len__(self) -> int:
         return self.labels.size
 
-    @classmethod
-    def from_labels(cls, labels) -> "Partition":
-        labels = np.asarray(labels, dtype=np.int64)
-        m = int(labels.max()) + 1 if labels.size else 1
-        return cls(labels, m)
-
 
 def contingency_table(pred: Partition, truth: Partition) -> np.ndarray:
     """Counts matrix C[i, j] = #samples with pred label i and truth label j."""

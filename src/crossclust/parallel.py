@@ -7,8 +7,7 @@ CPU count: OpenBLAS rounds some shapes differently on one thread and on
 several, and the bits must not depend on the host.  Only while that pin
 holds and at least 2 CPUs are usable (:func:`usable_cpus`) does a stage
 fork its producer and start its helper (:func:`helper_thread`), or ``eval``
-fork parse parts that label rows.  ``load_csv``'s parse parts call no BLAS,
-and ``predict`` keeps the caller's count.
+fork parse parts that label rows.  ``predict`` keeps the caller's count.
 
 :func:`fork_writer` refuses while a second Python thread is alive, since a
 lock that thread holds would stay held in the child; its callers then take

@@ -230,8 +230,8 @@ def load_eval_rows(
     :func:`data.label_csv` labels it: each part standardizes its own rows
     and labels them with :func:`cluster_labels` where it is parsed, or the
     whole file is labelled after a one-process parse.  Where it cannot, no
-    forked process calls BLAS: the file is loaded with
-    :func:`data.load_csv`, standardized in place and labelled here.  Either
+    process is forked: the file is loaded with :func:`data.load_csv`, which
+    parses in one process, standardized in place and labelled here.  Either
     way the labels do not depend on the CPU count or on whether a part
     failed, and every error is that of the one-process parse.  A smaller
     file is returned as a :class:`Dataset`, standardized in place, which

@@ -10,9 +10,6 @@ IDENTITY = AugmentConfig(gaussian_noise_sigma=0.0, mask_rate=0.0, scale_range=(1
 
 
 class TestAugmentConfig:
-    def test_defaults_are_non_identity(self):
-        assert not AugmentConfig().is_identity()
-
     def test_invalid_fields_rejected(self):
         with pytest.raises(ConfigError, match="gaussian_noise_sigma"):
             AugmentConfig(gaussian_noise_sigma=-0.1)

@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import tracemalloc
 import warnings
 
@@ -312,16 +313,20 @@ _FAULTS = ("ragged", "oops", "nan", "-Infinity")
 
 
 @st.composite
-def csv_tables(draw):
-    """A small CSV table as text, its label column (or None) and at most one injected fault."""
+def csv_tables(draw, max_rows=6, quoted_labels=True):
+    """A small CSV table as text, its label column (or None) and at most one injected fault.
+
+    Without ``quoted_labels``, labels hold no comma or double quote and are
+    never quoted."""
     d = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_rows))
     label_pos = draw(st.one_of(st.none(), st.integers(0, d)))
     width = d + (label_pos is not None)
     finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 included
     values = draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=n, max_size=n))
-    labels = draw(st.lists(st.text(alphabet='ab ,"', min_size=1, max_size=3), min_size=n, max_size=n))
-    quote = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    alphabet = 'ab ,"' if quoted_labels else "abé "
+    labels = draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=3), min_size=n, max_size=n))
+    quote = draw(st.lists(st.booleans() if quoted_labels else st.just(False), min_size=n, max_size=n))
     fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
     fault_row = draw(st.integers(0, n - 1))
     fault_col = draw(st.integers(0, d - 1))
@@ -384,7 +389,8 @@ class TestLoadCsvMatchesRowwiseOracle:
 
 
 def force_parts(monkeypatch) -> list:
-    """Parse every CSV in up to 3 parts, whatever its size and the CPU count.
+    """Label every CSV that ``label_csv`` reads in up to 3 parts, whatever its
+    size and the CPU count.
 
     Returns the list that collects what each ``_parse_parallel`` call
     returned (None where the file fell back to the one-process parse).
@@ -407,12 +413,8 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestLoadCsvInPartsMatchesRowwiseOracle:
-    @given(csv_tables())
-    @_ORACLE_SETTINGS
-    def test_same_matrix_labels_or_error_position(self, tmp_path, monkeypatch, table):
-        force_parts(monkeypatch)
-        assert_matches_rowwise_oracle(tmp_path, table)
+def no_fork():
+    raise AssertionError("forked")
 
 
 def parts_csv(labeled: bool = True) -> str:
@@ -424,13 +426,15 @@ def parts_csv(labeled: bool = True) -> str:
     return header + "\r\n" + "\r\n".join(rows[:4]) + "\r\n\r\n" + "\n".join(rows[4:]) + "\n\n"
 
 
-class TestLoadCsvInParts:
+class TestLoadCsvInOneProcess:
     @pytest.mark.parametrize(
         "label_column, later_tokens",
         [("label", {}), (None, {}), ("label", {",t,": ",ť,", ",u,": ",ü€,"})],
         ids=["label", "None", "non_ascii_label"],
     )
-    def test_matches_one_process_parse(self, tmp_path, monkeypatch, label_column, later_tokens):
+    def test_file_of_many_parts_is_parsed_without_a_fork(
+        self, tmp_path, monkeypatch, label_column, later_tokens
+    ):
         # later_tokens: labels first seen in the last part, renamed
         text = parts_csv(label_column is not None)
         for old, new in later_tokens.items():
@@ -439,9 +443,11 @@ class TestLoadCsvInParts:
         path.write_text(text, newline="", encoding="utf-8")
         want = load_csv(path, label_column)
         results = force_parts(monkeypatch)
+        monkeypatch.setattr(os, "fork", no_fork)
         got = load_csv(path, label_column)
-        assert results[0] is not None and results[0][0].shape == (12, 2)
+        assert results == []
         assert got.X.tobytes() == want.X.tobytes() and got.X.flags.c_contiguous
+        np.testing.assert_array_equal(got.X, [[i * 0.1, float(f"{-i}e-3")] for i in range(12)])
         assert got.feature_names == want.feature_names == ("a", "b")
         if label_column is None:
             assert got.truth is None
@@ -449,114 +455,52 @@ class TestLoadCsvInParts:
             np.testing.assert_array_equal(got.truth.labels, want.truth.labels)
             np.testing.assert_array_equal(got.truth.labels, [0, 1, 0, 1, 2, 0, 3, 2, 4, 3, 1, 5])
             assert got.truth.num_clusters == want.truth.num_clusters == 6
+
+
+def first_feature_sign(x):
+    """A ``label_csv`` hook: 1 where a row's first feature is positive."""
+    return (x[:, 0] > 0).astype(np.int64)
+
+
+def row_bits(x):
+    """A ``label_csv`` hook: each row's float64 bits folded into one int64."""
+    return (x.view(np.int64) * (2 * np.arange(x.shape[1]) + 1)).sum(axis=1)  # wraps
+
+
+def unscaled(names) -> Standardization:
+    """Statistics that shift by 0 and scale by 1, which keeps every finite value's bits."""
+    return Standardization(np.zeros(len(names)), np.ones(len(names)), tuple(names))
+
+
+UNSCALED = unscaled(("a", "b"))
+
+
+def labelled(path, label_column, stats):
+    """``label_csv``'s :func:`row_bits` labels and truth, or its error's text and position."""
+    try:
+        got = label_csv(path, row_bits, stats, label_column)
+    except CsvFormatError as exc:
+        return str(exc), exc.row, exc.col
+    truth = None if got.truth is None else (got.truth.labels.tolist(), got.truth.num_clusters)
+    return got.labels.tolist(), truth
+
+
+class TestLabelCsvInPartsMatchesOneProcess:
+    # up to 12 rows, and unquoted labels too: a part of fewer than 2 rows, or
+    # of a quoted label, is not labelled
+    @given(st.one_of(csv_tables(12), csv_tables(12, quoted_labels=False)), st.integers(2, 3))
+    @_ORACLE_SETTINGS
+    def test_same_labels_ids_or_error(self, tmp_path, monkeypatch, table, cpus):
+        text, label_column = table
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        stats = unscaled([name for name in text.splitlines()[0].split(",") if name != "label"])
+        want = labelled(path, label_column, stats)
+        with monkeypatch.context() as patch:
+            force_parts(patch)
+            patch.setattr(parallel, "usable_cpus", lambda: cpus)
+            assert labelled(path, label_column, stats) == want
         assert_no_child_process()
-
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            (b"1e-3\n", b"oops\n"),
-            (b"1e-3\n", b"1e-3,5\n"),
-            (b"1e-3\n", b"nan\n"),
-            (b",t,", b",\xff,"),
-            (b",t,", b',"t",'),
-            (b"a,label", b'"a",label'),
-            (b"a,label,b", b"a,label"),
-            (b"0e-3\n", b"0e-3\r"),
-        ],
-        ids=[
-            "non_numeric", "ragged", "non_finite", "not_utf8", "quoted_label", "quoted_header",
-            "every_row_too_wide", "lone_cr",
-        ],
-    )
-    def test_failing_part_reruns_the_one_process_parse(self, tmp_path, monkeypatch, old, new):
-        header, rows = parts_csv().encode().split(b"\r\n", 1)
-        # 10 kB of rows first, so a decode error is past what the header read decodes
-        text = header + b"\r\n" + b"0.5,p,1\n" * 1250 + rows
-        path = tmp_path / "parts.csv"
-        path.write_bytes(text[::-1].replace(old[::-1], new[::-1], 1)[::-1])  # the last match
-        try:
-            want = load_csv(path, "label")
-        except CsvFormatError as exc:
-            want = (str(exc), exc.row, exc.col)
-        results = force_parts(monkeypatch)
-        try:
-            got = load_csv(path, "label")
-        except CsvFormatError as exc:
-            got = (str(exc), exc.row, exc.col)
-        assert results == [None]
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert got.X.tobytes() == want.X.tobytes()
-            np.testing.assert_array_equal(got.truth.labels, want.truth.labels)
-        assert_no_child_process()
-
-    def test_dead_child_reruns_the_one_process_parse(self, tmp_path, monkeypatch):
-        path = tmp_path / "parts.csv"
-        path.write_text(parts_csv(), newline="")
-        want = load_csv(path, "label")
-        results = force_parts(monkeypatch)
-        monkeypatch.setattr(data_module, "_send_part", lambda *args: os._exit(3))
-        got = load_csv(path, "label")
-        assert results == [None]
-        assert got.X.tobytes() == want.X.tobytes()
-        assert_no_child_process()
-
-    def test_failed_fork_reruns_the_one_process_parse(self, tmp_path, monkeypatch):
-        path = tmp_path / "parts.csv"
-        path.write_text(parts_csv(), newline="")
-        want = load_csv(path, "label")
-        results = force_parts(monkeypatch)
-        forks, fork = [], os.fork
-
-        def second_fork_fails():  # the first child is started, the second is not
-            forks.append(None)
-            if len(forks) == 2:
-                raise BlockingIOError("no process to spare")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_fork_fails)
-        got = load_csv(path, "label")
-        assert results == [None] and len(forks) == 2
-        assert got.X.tobytes() == want.X.tobytes()
-        assert_no_child_process()
-
-    def test_interrupt_reaps_every_child(self, tmp_path, monkeypatch):
-        path = tmp_path / "parts.csv"
-        path.write_text(parts_csv(), newline="")
-        force_parts(monkeypatch)
-        parent, parse_part = os.getpid(), data_module._parse_part
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return parse_part(*args)
-
-        monkeypatch.setattr(data_module, "_parse_part", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            load_csv(path, "label")
-        assert_no_child_process()
-
-    @pytest.mark.parametrize("case", ["small_file", "one_cpu", "not_linux"])
-    def test_one_process_below_threshold_on_one_cpu_or_off_linux(self, tmp_path, monkeypatch, case):
-        path = tmp_path / "parts.csv"
-        path.write_text(parts_csv(), newline="")
-        want = load_csv(path, "label")
-        if case != "small_file":
-            monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
-        if case == "one_cpu":
-            monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        if case == "not_linux":
-            monkeypatch.setattr(parallel.sys, "platform", "darwin")
-
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        got = load_csv(path, "label")
-        assert got.X.tobytes() == want.X.tobytes()
 
 
 class TestFeatureNames:
@@ -587,21 +531,21 @@ class TestFeatureNames:
         assert got.X.tobytes() == load_csv(path, "label").X.tobytes()
 
 
-def first_feature_sign(x):
-    """A ``label_csv`` hook: 1 where a row's first feature is positive."""
-    return (x[:, 0] > 0).astype(np.int64)
-
-
-# features "a" and "b" shifted by 0 and scaled by 1, which keeps every finite value's bits
-UNSCALED = Standardization(np.zeros(2), np.ones(2), ("a", "b"))
-
-
 class TestLabelCsv:
-    @pytest.mark.parametrize("label_column", ["label", None])
-    def test_labels_and_truth_are_those_of_the_whole_file(self, tmp_path, monkeypatch, label_column):
+    @pytest.mark.parametrize(
+        "label_column, later_tokens",
+        [("label", {}), (None, {}), ("label", {",t,": ",ť,", ",u,": ",ü€,"})],
+        ids=["label", "None", "non_ascii_label"],
+    )
+    def test_labels_and_truth_are_those_of_the_whole_file(
+        self, tmp_path, monkeypatch, label_column, later_tokens
+    ):
+        # later_tokens: labels first seen in the last part, renamed
         path = tmp_path / "parts.csv"
         text = parts_csv(label_column is not None).replace("0.0,", "-0.5,", 1)  # one row labelled 0
-        path.write_text(text, newline="")
+        for old, new in later_tokens.items():
+            text = text.replace(old, new)
+        path.write_text(text, newline="", encoding="utf-8")
         want = load_csv(path, label_column)
         results = force_parts(monkeypatch)
         got = label_csv(path, first_feature_sign, UNSCALED, label_column)
@@ -612,6 +556,7 @@ class TestLabelCsv:
             assert got.truth is None
         else:
             np.testing.assert_array_equal(got.truth.labels, want.truth.labels)
+            np.testing.assert_array_equal(got.truth.labels, [0, 1, 0, 1, 2, 0, 3, 2, 4, 3, 1, 5])
             assert got.truth.num_clusters == want.truth.num_clusters == 6
         assert_no_child_process()
 
@@ -638,21 +583,30 @@ class TestLabelCsv:
         "old, new",
         [
             (b"1e-3\n", b"oops\n"),
+            (b"1e-3\n", b"1e-3,5\n"),
             (b"1e-3\n", b"nan\n"),
             (b",t,", b',"t",'),
+            (b"a,label", b'"a",label'),
             (b"a,label", b"x,label"),
+            (b"a,label,b", b"a,label"),
             (b"0e-3\n", b"0e-3\r"),
             (b",t,", b",\xff,"),
         ],
-        ids=["non_numeric", "non_finite", "quoted_label", "other_header", "lone_cr", "not_utf8"],
+        ids=[
+            "non_numeric", "ragged", "non_finite", "quoted_label", "quoted_header", "other_header",
+            "every_row_too_wide", "lone_cr", "not_utf8",
+        ],
     )
     def test_failing_part_or_header_gives_the_one_process_labels_or_error(
         self, tmp_path, monkeypatch, old, new
     ):
         header, rows = parts_csv().encode().split(b"\r\n", 1)
+        # 10 kB of rows first, so a decode error is past what the header read decodes
         text = header + b"\r\n" + b"0.5,p,1\n" * 1250 + rows
         path = tmp_path / "parts.csv"
         path.write_bytes(text[::-1].replace(old[::-1], new[::-1], 1)[::-1])  # the last match
+        # the header's one feature, so that every row is too wide for it
+        stats = unscaled(("a",)) if new == b"a,label" else UNSCALED
 
         def outcome(parse):
             try:
@@ -662,13 +616,50 @@ class TestLabelCsv:
             return got.labels.tolist(), got.truth.labels.tolist()
 
         def one_process():
-            data = load_csv(path, "label", ("a", "b"))
+            data = load_csv(path, "label", stats.feature_names)
+            return LabelledRows(first_feature_sign(data.X), data.truth)
+
+        want = outcome(one_process)
+        results = force_parts(monkeypatch)
+        assert outcome(lambda: label_csv(path, first_feature_sign, stats, "label")) == want
+        assert results == ([] if new.startswith(b"x,") else [None])
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["parent", "middle"])
+    @pytest.mark.parametrize(
+        "fault",
+        [b"oops,p,1\n", b"0.5,p,1,5\n", b"nan,p,1\n", b'0.5,"p",1\n', b"0.5,p,1\r", b"0.5,\xff,1\n"],
+        ids=["non_numeric", "ragged", "non_finite", "quoted_label", "lone_cr", "not_utf8"],
+    )
+    def test_failing_row_in_the_parents_or_a_middle_part_gives_the_one_process_labels_or_error(
+        self, tmp_path, monkeypatch, fault, part
+    ):
+        # the parent's part fails while its children label theirs; a middle
+        # part fails while the last child's message waits unread
+        header = b"a,label,b\n"
+        rows = [b"0.5,p,1\n"] * 6000  # 48 kB: a fault in row 1500 or 3000 is past the header read
+        row = 1500 * (part + 1)
+        rows[row] = fault
+        path = tmp_path / "parts.csv"
+        path.write_bytes(header + b"".join(rows))
+        bounds = data_module._part_bounds(path, 3)
+        assert bounds[part] <= len(header) + len(b"".join(rows[:row])) < bounds[part + 1]
+
+        def outcome(parse):
+            try:
+                got = parse()
+            except CsvFormatError as exc:
+                return str(exc), exc.row, exc.col
+            return got.labels.tolist(), got.truth.labels.tolist()
+
+        def one_process():
+            data = load_csv(path, "label")
             return LabelledRows(first_feature_sign(data.X), data.truth)
 
         want = outcome(one_process)
         results = force_parts(monkeypatch)
         assert outcome(lambda: label_csv(path, first_feature_sign, UNSCALED, "label")) == want
-        assert results == ([] if old.startswith(b"a,") else [None])
+        assert results == [None]
         assert_no_child_process()
 
     @pytest.mark.parametrize("where", ["parent", "child"])
@@ -692,32 +683,93 @@ class TestLabelCsv:
         assert results == [None]
         assert_no_child_process()
 
+    @pytest.mark.parametrize("ending", ["dead", "truncated"])
+    def test_child_that_dies_before_or_during_its_message_gives_the_one_process_labels(
+        self, tmp_path, monkeypatch, ending
+    ):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        want = labelled(path, "label", UNSCALED)
+        results = force_parts(monkeypatch)
+        label_part = data_module._label_part
+
+        def truncated(fd, *args):  # killed after writing half of its message
+            message = pickle.dumps(label_part(*args))
+            os.write(fd, message[: len(message) // 2])
+            os._exit(0)
+
+        def dead(*args):
+            os._exit(3)
+
+        monkeypatch.setattr(data_module, "_send_part", dead if ending == "dead" else truncated)
+        assert labelled(path, "label", UNSCALED) == want
+        assert results == [None]
+        assert_no_child_process()
+
+    def test_failed_fork_gives_the_one_process_labels(self, tmp_path, monkeypatch):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        want = labelled(path, "label", UNSCALED)
+        results = force_parts(monkeypatch)
+        forks, fork = [], os.fork
+
+        def second_fork_fails():  # the first child is started, the second is not
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert labelled(path, "label", UNSCALED) == want
+        assert results == [None] and len(forks) == 2
+        assert_no_child_process()
+
+    def test_interrupt_while_awaiting_the_children_reaps_every_child(self, tmp_path, monkeypatch):
+        path = tmp_path / "parts.csv"
+        path.write_text(parts_csv(), newline="")
+        force_parts(monkeypatch)
+        awaited = []
+
+        def interrupted(pipe):
+            awaited.append(pipe)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            label_csv(path, first_feature_sign, UNSCALED, "label")
+        assert len(awaited) == 1
+        assert_no_child_process()
+
     def test_part_of_one_row_labels_the_whole_file_in_one_call(self, tmp_path, monkeypatch):
         # the first of two parts holds one long row
         path = tmp_path / "parts.csv"
         path.write_text("a,b\n1.0" + " " * 1000 + ",2.0\n3.0,4.0\n5.0,6.0\n")
         results = force_parts(monkeypatch)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        assert load_csv(path).n == 3 and results[0][0].shape == (3, 2)
+        assert data_module._part_bounds(path, 2)[1] == len("a,b\n1.0" + " " * 1000 + ",2.0\n")
         seen = []
         got = label_csv(path, lambda x: seen.append(len(x)) or first_feature_sign(x), UNSCALED)
-        assert results[1] is None
+        assert results == [None]
         assert seen == [3]  # a one-row product rounds differently: no part is labelled alone
         np.testing.assert_array_equal(got.labels, [1, 1, 1])
         assert_no_child_process()
 
-    def test_file_too_small_or_one_cpu_is_labelled_without_a_fork(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("case", ["small_file", "one_cpu", "not_linux"])
+    def test_file_too_small_on_one_cpu_or_off_linux_is_labelled_without_a_fork(
+        self, tmp_path, monkeypatch, case
+    ):
         path = tmp_path / "parts.csv"
         path.write_text(parts_csv(), newline="")
         want = first_feature_sign(load_csv(path, "label").X)
-
-        def no_fork():
-            raise AssertionError("forked")
-
+        if case != "small_file":
+            monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
+        if case == "one_cpu":
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        if case == "not_linux":
+            monkeypatch.setattr(parallel.sys, "platform", "darwin")
         monkeypatch.setattr(os, "fork", no_fork)
-        np.testing.assert_array_equal(label_csv(path, first_feature_sign, UNSCALED, "label").labels, want)
-        monkeypatch.setattr(data_module, "_PARALLEL_PART_BYTES", 1)
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         np.testing.assert_array_equal(label_csv(path, first_feature_sign, UNSCALED, "label").labels, want)
 
 

@@ -78,7 +78,7 @@ class TestForkRefusal:
             waiter.join(timeout=10)
         assert not waiter.is_alive()
 
-    @pytest.mark.parametrize("user", ["load_csv", "eval", "stage"])
+    @pytest.mark.parametrize("user", ["eval", "stage"])
     def test_no_user_forks_beside_a_second_thread_and_each_gives_the_one_process_result(
         self, tmp_path, monkeypatch, user
     ):
@@ -93,8 +93,6 @@ class TestForkRefusal:
         )
 
         def run():
-            if user == "load_csv":
-                return load_csv(path, "label").X.tobytes()
             if user == "eval":
                 return evaluate(params, load_eval_rows(params, stats, path, "label"))
             trained, records = train(cfg, data)
