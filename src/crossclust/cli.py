@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .config import TrainConfig, load_config
-from .data import Standardization, generate_blobs, load_csv, save_csv, standardize
+from .data import Standardization, atomic_write, generate_blobs, load_csv, save_csv, standardize
 from .errors import ConfigError, CrossclustError
 from .model import _load_checkpoint, save_checkpoint
 from .trainer import evaluate, load_eval_rows, read_history, train, write_history
@@ -128,9 +128,8 @@ def _run_training(config: TrainConfig, data_path, label_column, out_dir: Path) -
         "history": history_path.name,
         "wall_time_s": wall,
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "summary.json") as out:
+        out.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -160,6 +159,8 @@ def cmd_train(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     params, stats = _load_checkpoint(args.checkpoint)
+    # Format 1 loads whole: label_csv would need the file's own statistics
+    # first, and so a second parse, which a pipe cannot give.
     if stats is None:
         _log(
             f"note: {args.checkpoint} is a format-1 checkpoint without the training statistics; "

@@ -6,9 +6,9 @@ floats are written with shortest round-trip decimal formatting.
 :class:`Standardization` holds a training set's feature statistics, which a
 checkpoint stores so that evaluation shifts and scales rows as training did.
 
-:func:`load_csv` parses in one process.  :func:`label_csv` parses a large
-CSV in parts, in processes forked through :mod:`crossclust.parallel`, and
-labels each part's rows where it is parsed.
+:func:`load_csv` parses in one process.  :func:`label_csv` labels a large
+CSV on one BLAS thread, in parts parsed by processes forked through
+:mod:`crossclust.parallel`, each part's rows where it is parsed.
 """
 
 from __future__ import annotations
@@ -189,6 +189,21 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
             writer.writerow(row)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A UTF-8 text file, written under a temporary name in ``path``'s
+    directory, that replaces ``path`` (``os.replace``) when the block ends;
+    if the block raises, it is removed and ``path`` is left as it was."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_csv(
     path, label_column: str | None = None, feature_names: tuple[str, ...] | None = None
 ) -> Dataset:
@@ -228,30 +243,33 @@ def label_csv(
     rows are standardized as they are taken from the parsed table, so no
     unstandardized copy of them is made.
 
-    On Linux, a file large enough to give every usable CPU a part of at
-    least ``_PARALLEL_PART_BYTES`` is parsed in parts by forked processes
-    (:func:`_parse_parallel`) and labelled where each part is parsed, at
-    least 2 rows at a time; only labels, label ids and label tokens leave a
-    part.  Otherwise, and when any part fails, the file is parsed in one
-    process and its rows are labelled in one call; every error is that of
-    :func:`load_csv`.
+    A file of two or more ``_PARALLEL_PART_BYTES`` parts is labelled on one
+    OpenBLAS thread (:func:`parallel.one_blas_thread`) where that count can
+    be set, and only then, on Linux with 2 or more usable CPUs, parsed in
+    parts by forked processes (:func:`_parse_parallel`), each labelled where
+    it is parsed, at least 2 rows at a time; only labels, label ids and label
+    tokens leave a part.  Otherwise, and when any part fails, the file is
+    parsed in one process and labelled in one call, a smaller file on the
+    caller's thread count.  Every error is that of :func:`load_csv`.
     """
-    names = standardization.feature_names
-    _, labels, ids, clusters = _parse(path, label_column, names, label_rows, standardization)
+    names, parts = standardization.feature_names, _whole_parts(path)
+    with parallel.one_blas_thread() if parts >= 2 else contextlib.nullcontext(False) as pinned:
+        parsed = _parse(path, label_column, names, label_rows, standardization, parts if pinned else 0)
+    _, labels, ids, clusters = parsed
     return LabelledRows(labels, None if ids is None else Partition(ids, clusters))
 
 
-def _parse(path, label_column, feature_names, label_rows=None, stats=None):
-    """The body of :func:`load_csv` and, with ``label_rows`` (and ``stats``),
-    of :func:`label_csv`: ``(feature names, rows or their labels, label ids
-    or None, cluster count)``."""
+def _parse(path, label_column, feature_names, label_rows=None, stats=None, parts=0):
+    """The body of :func:`load_csv` and, with ``label_rows``, ``stats`` and
+    (under its pin) the ``parts`` it may fork, of :func:`label_csv`: ``(feature
+    names, rows or their labels, label ids or None, cluster count)``."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header, label_idx = _read_header(fh, path, label_column, feature_names)
             parsed = None
-            if label_rows is not None:
-                parsed = _parse_parallel(path, len(header), label_idx, label_rows, stats)
+            if parts:
+                parsed = _parse_parallel(path, parts, len(header), label_idx, label_rows, stats)
             if parsed is None:
                 table, ids, clusters = _parse_serial(fh, path, len(header), label_idx)
                 x = _feature_rows(table, label_idx, stats)
@@ -450,9 +468,10 @@ def _send_part(fd: int, path: Path, bounds, width: int, label_idx: int | None, l
     return 0
 
 
-def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows, stats):
-    """Label the data rows in parts, one per usable CPU, as :func:`label_csv`'s
-    one-process parse would: ``(labels, label ids or None, cluster count)``.
+def _parse_parallel(path: Path, parts: int, width: int, label_idx: int | None, label_rows, stats):
+    """Label the data rows in parts, one per usable CPU up to ``parts``, as
+    :func:`label_csv`'s one-process parse would: ``(labels, label ids or
+    None, cluster count)``.
 
     The parent forks one process per part after the first and labels the
     first part itself (:func:`_label_part`) while the children label theirs
@@ -460,18 +479,15 @@ def _parse_parallel(path: Path, width: int, label_idx: int | None, label_rows, s
     merged in part order, so first-appearance numbering is that of the
     whole file.
 
-    Returns None, and the caller parses the file in one process, when the
-    file is too small for two parts of ``_PARALLEL_PART_BYTES``, or when
-    any part fails: a loadtxt error (a bad cell, a ragged row, a decode
-    error), a table of the wrong width, a double quote in the data rows, a
-    non-finite cell, a part of fewer than 2 rows, a ``label_rows`` error,
-    or a child that died, sent part of its message or could not be started.
+    Returns None, and the caller parses the file in one process, when
+    fewer than 2 CPUs are usable, or when any part fails: a loadtxt error
+    (a bad cell, a ragged row, a decode error), a table of the wrong width,
+    a double quote in the data rows, a non-finite cell, a part of fewer
+    than 2 rows, a ``label_rows`` error, or a child that died, sent part of
+    its message or could not be started.
     Every child is reaped before this returns or raises.
     """
-    parts = min(parallel.usable_cpus(), _whole_parts(path))
-    if parts < 2:
-        return None
-    bounds = _part_bounds(path, parts)
+    bounds = _part_bounds(path, min(parallel.usable_cpus(), parts))
     if len(bounds) < 3:
         return None
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_positive
-from .data import Standardization
+from .data import Standardization, atomic_write
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import Matrix, as_matrix, row_l2_normalize, row_norms, row_softmax
 
@@ -319,7 +319,8 @@ def save_checkpoint(params: ModelParams, path, standardization: Standardization)
     The file is ``json.dumps`` of ``{"format_version", "dims",
     "standardization", "blocks": {name: {"shape", "data"}}}``, byte for
     byte, but it is encoded and written one parameter block at a time, so no
-    more than one block's list and text are alive at once.  The
+    more than one block's list and text are alive at once; it replaces ``path``
+    only once whole (:func:`atomic_write`).  The
     ``"standardization"`` entry holds the training set's ``feature_names``,
     ``mean`` and ``std``.  Only this format, 2, is written; format 1, which
     has no such entry, is still read.
@@ -339,7 +340,7 @@ def save_checkpoint(params: ModelParams, path, standardization: Standardization)
             "std": standardization.std.tolist(),
         },
     }
-    with open(path, "w", encoding="utf-8") as out:
+    with atomic_write(path) as out:
         out.write(json.dumps(head)[:-1] + ', "blocks": {')
         for k, (name, arr) in enumerate(params.named_arrays()):
             block = {"shape": list(arr.shape), "data": arr.ravel().tolist()}

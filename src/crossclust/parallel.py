@@ -1,13 +1,13 @@
 """Processes, threads and OpenBLAS's thread count, in one place.
 
 The rule: one BLAS thread wherever crossclust forks.  A training stage and
-``eval`` of a file of at least two parse parts run numpy's OpenBLAS on one
-thread (:func:`one_blas_thread`) wherever its count can be set, whatever the
-CPU count: OpenBLAS rounds some shapes differently on one thread and on
-several, and the bits must not depend on the host.  Only while that pin
-holds and at least 2 CPUs are usable (:func:`usable_cpus`) does a stage
-fork its producer and start its helper (:func:`helper_thread`), or ``eval``
-fork parse parts that label rows.  ``predict`` keeps the caller's count.
+``data.label_csv`` of a file of at least two parse parts run numpy's
+OpenBLAS on one thread (:func:`one_blas_thread`) wherever its count can be
+set, whatever the CPU count: OpenBLAS rounds some shapes differently on one
+thread and on several, and the bits must not depend on the host.  Only while
+that pin holds and at least 2 CPUs are usable (:func:`usable_cpus`) does a
+stage fork its producer and start its helper (:func:`helper_thread`), or
+``label_csv`` fork parse parts.  ``predict`` keeps the caller's count.
 
 :func:`fork_writer` refuses while a second Python thread is alive, since a
 lock that thread holds would stay held in the child; its callers then take

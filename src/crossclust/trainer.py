@@ -21,9 +21,8 @@ batches in order and sends them down a pipe (:func:`_stage_views`).
 Elsewhere, or once a producer fails, views are computed in-process, with the
 same bits.  At a large batch one helper thread computes half of each step's
 pairwise rows and one of its two chain products, again with the same bits.
-A large CSV to evaluate is labelled on one OpenBLAS thread, in the processes
-that parse it (:func:`load_eval_rows`).  :mod:`crossclust.parallel` holds
-the forks, the helper and the thread count.
+Eval rows are labelled by :func:`data.label_csv` (:func:`load_eval_rows`).
+:mod:`crossclust.parallel` holds the forks, the helper and the thread count.
 """
 
 from __future__ import annotations
@@ -219,45 +218,18 @@ def predict(params: ModelParams, x) -> Partition:
 
 def load_eval_rows(
     params: ModelParams, standardization: Standardization, path, label_column=None
-) -> Dataset | LabelledRows:
-    """A CSV's rows for :func:`evaluate`, standardized with the training
-    set's statistics; the header's feature columns must be the names they
-    were stored with (:func:`data.load_csv`).
-
-    A file of at least two parse parts' worth of bytes is labelled on one
-    OpenBLAS thread (:func:`parallel.one_blas_thread`), set before any fork
-    and restored on exit.  Where that count can be set,
-    :func:`data.label_csv` labels it: each part standardizes its own rows
-    and labels them with :func:`cluster_labels` where it is parsed, or the
-    whole file is labelled after a one-process parse.  Where it cannot, no
-    process is forked: the file is loaded with :func:`data.load_csv`, which
-    parses in one process, standardized in place and labelled here.  Either
-    way the labels do not depend on the CPU count or on whether a part
-    failed, and every error is that of the one-process parse.  A smaller
-    file is returned as a :class:`Dataset`, standardized in place, which
-    :func:`evaluate` labels with :func:`predict`.
-    """
-    names = standardization.feature_names
-
-    def load_standardized() -> Dataset:
-        dataset = data_io.load_csv(path, label_column, names)
-        standardization.apply(dataset.X, out=dataset.X)
-        return dataset
-
-    if data_io._whole_parts(path) < 2:
-        return load_standardized()
-    with parallel.one_blas_thread() as pinned:
-        if pinned:
-            label_rows = functools.partial(cluster_labels, params)
-            return data_io.label_csv(path, label_rows, standardization, label_column)
-        dataset = load_standardized()
-        return LabelledRows(cluster_labels(params, dataset.X), dataset.truth)
+) -> LabelledRows:
+    """A CSV's rows for :func:`evaluate`: :func:`data.label_csv`, which alone
+    decides parse parts and the BLAS thread count, with :func:`cluster_labels`,
+    which :mod:`crossclust.data` cannot import."""
+    label_rows = functools.partial(cluster_labels, params)
+    return data_io.label_csv(path, label_rows, standardization, label_column)
 
 
 def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:
     """Metrics against truth labels, or an unlabeled report (sizes + entropy).
 
-    A :class:`Dataset`'s rows are labelled here with :func:`predict`;
+    A training or format-1 :class:`Dataset` is labelled here by :func:`predict`;
     :class:`LabelledRows` (:func:`load_eval_rows`) carry their labels.
     """
     if isinstance(data, LabelledRows):

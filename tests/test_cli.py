@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +26,12 @@ FAST_SWEEP = [
     "--clusters", "3",
 ]
 FAST_TRAIN = [*FAST_SWEEP, "--seed", "0"]
+
+
+def cli_env() -> dict:
+    """The environment for a fresh interpreter that imports this crossclust."""
+    src = str(Path(crossclust.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture()
@@ -313,6 +321,46 @@ class TestEval:
         assert json.loads(captured.out) == want
         notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
         assert len(notes) == 1 and "format-1 checkpoint without the training statistics" in notes[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("checkpoint_format", [1, 2])
+    def test_data_from_a_fifo_prints_the_json_of_the_regular_file(
+        self, tmp_path, capsys, request, checkpoint_format
+    ):
+        # eval reads --data once: a second open of a FIFO waits for a writer
+        # that never comes, so the FIFO's eval runs in a process with a timeout
+        if checkpoint_format == 1:
+            checkpoint = Path(__file__).parent / "data" / "checkpoint_v1.json"
+            d = load_checkpoint(checkpoint).dims.input_dim
+            x = 3.0 + 2.0 * np.random.default_rng(0).normal(size=(40, d))
+            data = tmp_path / "rows.csv"
+            save_csv(Dataset(X=x, truth=Partition(np.arange(40) % 3, 3)), data)
+        else:
+            checkpoint = request.getfixturevalue("trained_dir") / "checkpoint.json"
+            data = request.getfixturevalue("blobs_csv")
+        args = ["eval", "--checkpoint", str(checkpoint), "--label-column", "label", "--data"]
+        assert main([*args, str(data)]) == 0
+        want = capsys.readouterr().out
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as out:
+                out.write(data.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        command = [sys.executable, "-m", "crossclust.cli", *args, str(fifo)]
+        try:
+            got = subprocess.run(command, env=cli_env(), capture_output=True, text=True, timeout=60)
+        finally:
+            if writer.is_alive():  # eval never opened the FIFO: let the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == want
+        assert json.loads(want)["cluster_sizes"]
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -697,13 +745,11 @@ class TestImportCost:
     def test_cli_import_skips_modules_of_other_commands(self):
         # PyYAML is loaded by --config only and multiprocessing by sweep --jobs;
         # every command starts a fresh interpreter, so eager imports cost each one
-        src = str(Path(crossclust.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         probe = (
             "import sys, crossclust.cli; "
             "print(sorted(m for m in ('yaml', 'concurrent.futures') if m in sys.modules))"
         )
         out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"

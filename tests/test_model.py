@@ -471,6 +471,24 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2, stats)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_save_that_fails_part_way_leaves_the_previous_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.json"
+        stats = standardization(SMALL_DIMS.input_dim)
+        save_checkpoint(init_params(0, SMALL_DIMS), path, stats)
+        before = path.read_bytes()
+        retrained = init_params(1, SMALL_DIMS)
+        named_arrays = model.ModelParams.named_arrays
+
+        def first_block_then_fail(params):
+            yield next(named_arrays(params))
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(model.ModelParams, "named_arrays", first_block_then_fail)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(retrained, path, stats)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
     def test_format_v1_file_loads_without_standardization(self):
         # a checked-in format-v1 file from the per-layer parameter layout:
         # init_params(13) plus three Adam steps, so every bias is nonzero

@@ -973,8 +973,8 @@ class TestEvalRows:
             if case == "second_thread":
                 waiter.join(timeout=10)
         cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
-        # a file of two parts' worth of bytes is labelled here, whatever the path
-        assert isinstance(got, Dataset if case == "small_file" else LabelledRows)
+        # every file is labelled by label_csv, whatever its size and path
+        assert isinstance(got, LabelledRows)
         # parts are labelled where they are parsed; after dead parts the file is
         # parsed in one process, and no process forks beside a second thread or
         # where OpenBLAS's count cannot be set
@@ -982,6 +982,28 @@ class TestEvalRows:
         assert len(forked) == parsers
         assert evaluate(params, got) == want
         assert_no_child_process()
+
+    @needs_blas
+    def test_file_under_two_parts_labels_on_the_callers_thread_count(self, tmp_path, monkeypatch):
+        import crossclust.data as data_module
+
+        path = tmp_path / "rows.csv"
+        stats = eval_csv(path, 60)
+        assert data_module._whole_parts(path) < 2
+        params = label_params(3)
+        want = evaluate(params, standardize(load_csv(path, "label"), stats))
+        forked = count_producers(monkeypatch, 3)
+        seen = watch_blas_in_parent(monkeypatch)
+        lookups = []
+        monkeypatch.setattr(parallel, "openblas", lambda: lookups.append(1) or BLAS)
+        before = BLAS.get_threads()
+        try:
+            BLAS.set_threads(2)
+            got = load_eval_rows(params, stats, path, "label")
+        finally:
+            BLAS.set_threads(before)
+        assert seen == [2] and lookups == [] and forked == []
+        assert evaluate(params, got) == want
 
     @needs_blas
     @pytest.mark.parametrize("case", ["parts", "one_cpu", "failed_fork", "dead_part"])
