@@ -2,7 +2,9 @@
 
 All metrics are invariant under relabeling of either partition.  Matching is
 exact: the assignment solver returns the lexicographically smallest optimal
-permutation, so results are reproducible across platforms.
+permutation, so results are reproducible across platforms.  Each metric is
+scored from the contingency table alone (``_table_*``), so ``trainer.evaluate``
+scores ACC, NMI, ARI and the cluster sizes from one table.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def contingency_table(pred: Partition, truth: Partition) -> np.ndarray:
     if len(pred) != len(truth):
         raise ShapeError(f"partition lengths differ: {len(pred)} vs {len(truth)}")
     p, t = pred.num_clusters, truth.num_clusters
-    return np.bincount(pred.labels * t + truth.labels, minlength=p * t).reshape(p, t)
+    codes = pred.labels * t
+    return np.bincount(np.add(codes, truth.labels, out=codes), minlength=p * t).reshape(p, t)
 
 
 def _solve_assignment(cost: np.ndarray):
@@ -178,18 +181,7 @@ def _check_pair(pred: Partition, truth: Partition):
 def accuracy(pred: Partition, truth: Partition) -> float:
     """Clustering accuracy: matched fraction under the best cluster-to-class bijection."""
     _check_pair(pred, truth)
-    table = contingency_table(pred, truth)
-    k = max(table.shape)
-    padded = np.zeros((k, k), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    perm = hungarian(-padded.astype(np.float64))
-    matched = padded[np.arange(k), perm].sum()
-    return float(matched) / len(pred)
-
-
-def _partition_entropy(counts: np.ndarray, n: int) -> float:
-    nz = counts[counts > 0].astype(np.float64) / n
-    return float(-(nz * np.log(nz)).sum())
+    return _table_accuracy(contingency_table(pred, truth), len(pred))
 
 
 def nmi(pred: Partition, truth: Partition) -> float:
@@ -198,8 +190,30 @@ def nmi(pred: Partition, truth: Partition) -> float:
     Defined as 0 when both partitions are single-cluster (0/0 case).
     """
     _check_pair(pred, truth)
-    n = len(pred)
-    table = contingency_table(pred, truth).astype(np.float64)
+    return _table_nmi(contingency_table(pred, truth), len(pred))
+
+
+def ari(pred: Partition, truth: Partition) -> float:
+    """Adjusted Rand index via pair counting on the contingency table."""
+    _check_pair(pred, truth)
+    return _table_ari(contingency_table(pred, truth), len(pred))
+
+
+def _table_accuracy(table: np.ndarray, n: int) -> float:
+    k = max(table.shape)
+    padded = np.zeros((k, k), dtype=np.int64)
+    padded[: table.shape[0], : table.shape[1]] = table
+    perm = hungarian(-padded.astype(np.float64))
+    return float(padded[np.arange(k), perm].sum()) / n
+
+
+def _partition_entropy(counts: np.ndarray, n: int) -> float:
+    nz = counts[counts > 0].astype(np.float64) / n
+    return float(-(nz * np.log(nz)).sum())
+
+
+def _table_nmi(table: np.ndarray, n: int) -> float:
+    table = table.astype(np.float64)
     a = table.sum(axis=1)
     b = table.sum(axis=0)
     nz = table > 0
@@ -214,13 +228,9 @@ def nmi(pred: Partition, truth: Partition) -> float:
     return mi / denom
 
 
-def ari(pred: Partition, truth: Partition) -> float:
-    """Adjusted Rand index via pair counting on the contingency table."""
-    _check_pair(pred, truth)
-    n = len(pred)
+def _table_ari(table: np.ndarray, n: int) -> float:
     if n < 2:
         raise ShapeError("ari requires at least 2 samples")
-    table = contingency_table(pred, truth)
 
     def comb2(x):
         x = x.astype(np.float64)

@@ -42,7 +42,7 @@ from .config import TrainConfig
 from .data import Dataset, LabelledRows, Standardization
 from .errors import ConfigError, CsvFormatError, DegenerateRowError, NonFiniteError
 from .losses import c3_objective, chain_to_embeddings, init_cluster_loss, instance_objective
-from .metrics import Partition, accuracy, ari, nmi
+from .metrics import Partition, _check_pair, _table_accuracy, _table_ari, _table_nmi, contingency_table
 from .model import (
     AdamState,
     ModelDims,
@@ -230,21 +230,21 @@ def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:
     """Metrics against truth labels, or an unlabeled report (sizes + entropy).
 
     A training or format-1 :class:`Dataset` is labelled here by :func:`predict`;
-    :class:`LabelledRows` (:func:`load_eval_rows`) carry their labels.
+    :class:`LabelledRows` (:func:`load_eval_rows`) carry their labels.  Against
+    truth, the sizes, ACC, NMI and ARI all come from one contingency table,
+    with the values and errors of :mod:`crossclust.metrics`' own functions.
     """
     if isinstance(data, LabelledRows):
         pred = Partition(data.labels, params.dims.num_clusters)
     else:
         pred = predict(params, data.X)
-    sizes = np.bincount(pred.labels, minlength=pred.num_clusters)
-    out = {"cluster_sizes": [int(s) for s in sizes]}
-    if data.truth is not None:
-        out["acc"] = accuracy(pred, data.truth)
-        out["nmi"] = nmi(pred, data.truth)
-        out["ari"] = ari(pred, data.truth)
-    else:
-        out["assignment_entropy"] = entropy(sizes / pred.labels.size)
-    return out
+    if data.truth is None:
+        sizes = np.bincount(pred.labels, minlength=pred.num_clusters)
+        return {"cluster_sizes": sizes.tolist(), "assignment_entropy": entropy(sizes / len(pred))}
+    _check_pair(pred, data.truth)
+    table, n = contingency_table(pred, data.truth), len(pred)
+    acc, nmi, ari = _table_accuracy(table, n), _table_nmi(table, n), _table_ari(table, n)
+    return {"cluster_sizes": table.sum(axis=1).tolist(), "acc": acc, "nmi": nmi, "ari": ari}
 
 
 def _cluster_objective(c, n, tau_c, epoch, batch):

@@ -33,6 +33,7 @@ from crossclust.errors import (
     CsvFormatError,
     DegenerateRowError,
     NonFiniteError,
+    ShapeError,
 )
 from crossclust.losses import c3_loss, chain_to_embeddings, compute_weights, positive_mask
 from crossclust.metrics import Partition, accuracy, ari, nmi
@@ -444,6 +445,32 @@ class TestPredictEvaluate:
         assert "acc" not in out
         assert "assignment_entropy" in out
         assert out["assignment_entropy"] >= 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(2, 8), k=st.integers(1, 8), data=st.data())
+    def test_one_table_scores_equal_the_metric_functions(self, m, k, data):
+        """Labelled rows, some clusters of either partition empty: the sizes
+        and scores of ``evaluate``'s one table are those of a ``bincount`` and
+        of ``accuracy``/``nmi``/``ari``, exactly, and so are their errors."""
+        n = data.draw(st.integers(2, 300), label="n")
+        labels = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+        truth = Partition(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k)
+        params = init_params(0, ModelDims(input_dim=1, encoder_hidden=(1,), z_dim=1, num_clusters=m))
+        pred = Partition(labels, m)
+        out = evaluate(params, LabelledRows(labels, truth))
+        assert out["cluster_sizes"] == np.bincount(labels, minlength=m).tolist()
+        assert out["acc"] == accuracy(pred, truth)
+        assert out["nmi"] == nmi(pred, truth)
+        assert out["ari"] == ari(pred, truth)
+        one_row = Partition(truth.labels[:1], k)
+        for rows, want in [
+            (LabelledRows(labels[:1], one_row), "ari requires at least 2 samples"),
+            (LabelledRows(labels[1:], truth), f"partition lengths differ: {n - 1} vs {n}"),
+        ]:
+            with pytest.raises(ShapeError, match=re.escape(want)):
+                ari(Partition(rows.labels, m), rows.truth)
+            with pytest.raises(ShapeError, match=re.escape(want)):
+                evaluate(params, rows)
 
     def test_perfect_model_scores_full_accuracy(self):
         """A hand-built network that routes each axis-aligned blob to its own
