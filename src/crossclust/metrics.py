@@ -1,10 +1,11 @@
 """Clustering evaluation: optimal label matching, ACC, NMI, ARI.
 
 All metrics are invariant under relabeling of either partition.  Matching is
-exact: the assignment solver returns the lexicographically smallest optimal
-permutation, so results are reproducible across platforms.  Each metric is
-scored from the contingency table alone (``_table_*``), so ``trainer.evaluate``
-scores ACC, NMI, ARI and the cluster sizes from one table.
+exact: the assignment solver returns an optimal permutation, deterministic,
+and ACC reads only its matched sum, which every optimum shares.  Each metric
+is scored from the contingency table alone (``_table_*``), so
+``trainer.evaluate`` scores ACC, NMI, ARI and the cluster sizes from one
+table.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ def contingency_table(pred: Partition, truth: Partition) -> np.ndarray:
     return np.bincount(np.add(codes, truth.labels, out=codes), minlength=p * t).reshape(p, t)
 
 
-def _solve_assignment(cost: np.ndarray):
+def _solve_assignment(cost: np.ndarray) -> np.ndarray:
     """O(n^3) shortest-augmenting-path assignment on a square cost matrix.
 
-    Returns (row_to_col, u, v) where u, v are dual potentials satisfying
-    cost[i, j] - u[i] - v[j] >= 0 with equality on assignment edges.
+    Returns row_to_col, an optimal permutation (row_to_col[i] = column of row i).
     """
     n = cost.shape[0]
     u = np.zeros(n + 1)
@@ -93,69 +93,15 @@ def _solve_assignment(cost: np.ndarray):
     row_to_col = np.empty(n, dtype=np.int64)
     for j in range(n):
         row_to_col[match[j]] = j
-    return row_to_col, u[:n], v[:n]
-
-
-def _lex_smallest_matching(admissible: np.ndarray, row_to_col: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest perfect matching of the admissible graph.
-
-    ``row_to_col`` must be one perfect matching; optimality of every perfect
-    matching of ``admissible`` is the caller's guarantee.
-    """
-    n = admissible.shape[0]
-    col_owner = np.full(n, -1, dtype=np.int64)
-    match = row_to_col.copy()
-    for i in range(n):
-        col_owner[match[i]] = i
-    fixed = np.zeros(n, dtype=bool)
-
-    def augment(row: int, visited: np.ndarray) -> bool:
-        for j in np.flatnonzero(admissible[row]):
-            if fixed[j] or visited[j]:
-                continue
-            visited[j] = True
-            owner = col_owner[j]
-            if owner == -1 or augment(int(owner), visited):
-                col_owner[j] = row
-                match[row] = j
-                return True
-        return False
-
-    for i in range(n):
-        for j in np.flatnonzero(admissible[i]):
-            if fixed[j]:
-                continue
-            if match[i] == j:
-                fixed[j] = True
-                break
-            owner = col_owner[j]
-            old = match[i]
-            col_owner[old] = -1
-            col_owner[j] = i
-            match[i] = j
-            if owner == -1:
-                fixed[j] = True
-                break
-            visited = np.zeros(n, dtype=bool)
-            visited[j] = True
-            if augment(int(owner), visited):
-                fixed[j] = True
-                break
-            # revert and try the next candidate column
-            col_owner[j] = owner
-            col_owner[old] = i
-            match[i] = old
-        else:
-            raise AssertionError("no admissible column left for a row")  # pragma: no cover
-    return match
+    return row_to_col
 
 
 def hungarian(cost) -> np.ndarray:
     """Minimum-cost perfect assignment of rows to columns.
 
-    Returns the permutation p (p[i] = column of row i) minimizing
-    sum(cost[i, p[i]]); among all optima, the lexicographically smallest
-    permutation is returned.
+    Returns an optimal permutation p (p[i] = column of row i), one minimizing
+    sum(cost[i, p[i]]), deterministic: the same one on every call with the
+    same cost.  Which of several optima it returns is not specified.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -164,11 +110,7 @@ def hungarian(cost) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if not np.isfinite(cost).all():
         raise ContractViolationError("cost matrix must be finite")
-    row_to_col, u, v = _solve_assignment(cost)
-    # zero-reduced-cost edges w.r.t. optimal duals carry every optimal assignment
-    tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
-    admissible = (cost - u[:, None] - v[None, :]) <= tol
-    return _lex_smallest_matching(admissible, row_to_col)
+    return _solve_assignment(cost)
 
 
 def _check_pair(pred: Partition, truth: Partition):
@@ -200,6 +142,14 @@ def ari(pred: Partition, truth: Partition) -> float:
 
 
 def _table_accuracy(table: np.ndarray, n: int) -> float:
+    short, long = sorted(table.shape)
+    if long > short * short:
+        # Some optimal matching pairs each short-side line with one of its
+        # `short` largest entries: a line matched outside them has one inside
+        # them that no other line takes and that is at least as large.
+        lines = table if table.shape[0] == short else table.T
+        top = np.argsort(-lines, axis=1, kind="stable")[:, :short]
+        table = lines[:, np.unique(top)]
     k = max(table.shape)
     padded = np.zeros((k, k), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
