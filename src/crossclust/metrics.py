@@ -1,11 +1,11 @@
 """Clustering evaluation: optimal label matching, ACC, NMI, ARI.
 
 All metrics are invariant under relabeling of either partition.  Matching is
-exact: the assignment solver returns an optimal permutation, deterministic,
-and ACC reads only its matched sum, which every optimum shares.  Each metric
-is scored from the contingency table alone (``_table_*``), so
-``trainer.evaluate`` scores ACC, NMI, ARI and the cluster sizes from one
-table.
+exact: the assignment solver returns an optimal matching, deterministic, and
+ACC reads only its matched sum, which every optimum shares.  ACC solves the
+rectangular contingency table directly, its short side on the rows.  Each
+metric is scored from the contingency table alone (``_table_*``), so
+:func:`scores` gives the cluster sizes, ACC, NMI and ARI from one table.
 """
 
 from __future__ import annotations
@@ -51,26 +51,26 @@ def contingency_table(pred: Partition, truth: Partition) -> np.ndarray:
 
 
 def _solve_assignment(cost: np.ndarray) -> np.ndarray:
-    """O(n^3) shortest-augmenting-path assignment on a square cost matrix.
+    """O(n^2 m) shortest-augmenting-path assignment on an n x m cost, n <= m.
 
-    Returns row_to_col, an optimal permutation (row_to_col[i] = column of row i).
+    Returns row_to_col, distinct columns minimizing sum(cost[i, row_to_col[i]]).
     """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    # match[j] = row assigned to column j; column n is the virtual start column
-    match = np.full(n + 1, -1, dtype=np.int64)
-    cols = np.arange(n)
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m + 1)
+    # match[j] = row assigned to column j; column m is the virtual start column
+    match = np.full(m + 1, -1, dtype=np.int64)
+    cols = np.arange(m)
     for i in range(n):
-        match[n] = i
-        j0 = n
-        minv = np.full(n + 1, np.inf)
-        way = np.full(n + 1, n, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
+        match[m] = i
+        j0 = m
+        minv = np.full(m + 1, np.inf)
+        way = np.full(m + 1, m, dtype=np.int64)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = match[j0]
-            free = ~used[:n]
+            free = ~used[:m]
             idx = cols[free]
             cur = cost[i0, idx] - u[i0] - v[idx]
             better = cur < minv[idx]
@@ -82,17 +82,17 @@ def _solve_assignment(cost: np.ndarray) -> np.ndarray:
             used_cols = np.flatnonzero(used)
             u[match[used_cols]] += delta
             v[used_cols] -= delta
-            minv[:n][free] -= delta
+            minv[:m][free] -= delta
             j0 = j1
             if match[j0] == -1:
                 break
-        while j0 != n:
+        while j0 != m:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
+    matched = np.flatnonzero(match[:m] >= 0)
     row_to_col = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        row_to_col[match[j]] = j
+    row_to_col[match[matched]] = matched
     return row_to_col
 
 
@@ -113,17 +113,17 @@ def hungarian(cost) -> np.ndarray:
     return _solve_assignment(cost)
 
 
-def _check_pair(pred: Partition, truth: Partition):
-    if len(pred) != len(truth):
-        raise ShapeError(f"partition lengths differ: {len(pred)} vs {len(truth)}")
+def _pair_table(pred: Partition, truth: Partition) -> tuple[np.ndarray, int]:
+    """The pair's contingency table and sample count; the pair must be non-empty."""
+    table = contingency_table(pred, truth)
     if len(pred) == 0:
         raise ShapeError("partitions must be non-empty")
+    return table, len(pred)
 
 
 def accuracy(pred: Partition, truth: Partition) -> float:
     """Clustering accuracy: matched fraction under the best cluster-to-class bijection."""
-    _check_pair(pred, truth)
-    return _table_accuracy(contingency_table(pred, truth), len(pred))
+    return _table_accuracy(*_pair_table(pred, truth))
 
 
 def nmi(pred: Partition, truth: Partition) -> float:
@@ -131,30 +131,31 @@ def nmi(pred: Partition, truth: Partition) -> float:
 
     Defined as 0 when both partitions are single-cluster (0/0 case).
     """
-    _check_pair(pred, truth)
-    return _table_nmi(contingency_table(pred, truth), len(pred))
+    return _table_nmi(*_pair_table(pred, truth))
 
 
 def ari(pred: Partition, truth: Partition) -> float:
     """Adjusted Rand index via pair counting on the contingency table."""
-    _check_pair(pred, truth)
-    return _table_ari(contingency_table(pred, truth), len(pred))
+    return _table_ari(*_pair_table(pred, truth))
+
+
+def scores(pred: Partition, truth: Partition) -> dict:
+    """Cluster sizes, ACC, NMI and ARI from one contingency table, with the
+    values and errors of :func:`accuracy`, :func:`nmi` and :func:`ari`."""
+    table, n = _pair_table(pred, truth)
+    return {
+        "cluster_sizes": table.sum(axis=1).tolist(),
+        "acc": _table_accuracy(table, n),
+        "nmi": _table_nmi(table, n),
+        "ari": _table_ari(table, n),
+    }
 
 
 def _table_accuracy(table: np.ndarray, n: int) -> float:
-    short, long = sorted(table.shape)
-    if long > short * short:
-        # Some optimal matching pairs each short-side line with one of its
-        # `short` largest entries: a line matched outside them has one inside
-        # them that no other line takes and that is at least as large.
-        lines = table if table.shape[0] == short else table.T
-        top = np.argsort(-lines, axis=1, kind="stable")[:, :short]
-        table = lines[:, np.unique(top)]
-    k = max(table.shape)
-    padded = np.zeros((k, k), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    perm = hungarian(-padded.astype(np.float64))
-    return float(padded[np.arange(k), perm].sum()) / n
+    # The solver needs rows <= columns, so the short side goes on the rows.
+    lines = table if table.shape[0] <= table.shape[1] else table.T
+    cols = _solve_assignment(-np.ascontiguousarray(lines, dtype=np.float64))
+    return float(lines[np.arange(lines.shape[0]), cols].sum()) / n
 
 
 def _partition_entropy(counts: np.ndarray, n: int) -> float:

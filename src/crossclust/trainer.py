@@ -42,7 +42,7 @@ from .config import TrainConfig
 from .data import Dataset, LabelledRows, Standardization
 from .errors import ConfigError, CsvFormatError, DegenerateRowError, NonFiniteError
 from .losses import c3_objective, chain_to_embeddings, init_cluster_loss, instance_objective
-from .metrics import Partition, _check_pair, _table_accuracy, _table_ari, _table_nmi, contingency_table
+from .metrics import Partition, scores
 from .model import (
     AdamState,
     ModelDims,
@@ -231,8 +231,7 @@ def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:
 
     A training or format-1 :class:`Dataset` is labelled here by :func:`predict`;
     :class:`LabelledRows` (:func:`load_eval_rows`) carry their labels.  Against
-    truth, the sizes, ACC, NMI and ARI all come from one contingency table,
-    with the values and errors of :mod:`crossclust.metrics`' own functions.
+    truth, the sizes, ACC, NMI and ARI come from :func:`metrics.scores`.
     """
     if isinstance(data, LabelledRows):
         pred = Partition(data.labels, params.dims.num_clusters)
@@ -241,10 +240,7 @@ def evaluate(params: ModelParams, data: Dataset | LabelledRows) -> dict:
     if data.truth is None:
         sizes = np.bincount(pred.labels, minlength=pred.num_clusters)
         return {"cluster_sizes": sizes.tolist(), "assignment_entropy": entropy(sizes / len(pred))}
-    _check_pair(pred, data.truth)
-    table, n = contingency_table(pred, data.truth), len(pred)
-    acc, nmi, ari = _table_accuracy(table, n), _table_nmi(table, n), _table_ari(table, n)
-    return {"cluster_sizes": table.sum(axis=1).tolist(), "acc": acc, "nmi": nmi, "ari": ari}
+    return scores(pred, data.truth)
 
 
 def _cluster_objective(c, n, tau_c, epoch, batch):
@@ -320,8 +316,8 @@ def _run_stage(stage, params, config, data, epochs):
                 stage, params, state, config, data, epoch, views, split
             )
             metrics = evaluate(params, data) if data.truth is not None else {}
-            scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
-            records.append(EpochRecord(stage, epoch, mean_loss, pairs, **scores))
+            epoch_scores = {k: metrics.get(k) for k in ("acc", "nmi", "ari")}
+            records.append(EpochRecord(stage, epoch, mean_loss, pairs, **epoch_scores))
     return params, records
 
 

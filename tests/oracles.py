@@ -121,6 +121,15 @@ def hungarian_brute(cost) -> tuple[tuple[int, ...], float]:
     return best_perm, best_cost
 
 
+def assignment_brute(cost) -> float:
+    """Exhaustive search of an n x m cost, n <= m: the least total over every
+    way to give each row its own column."""
+    n, m = len(cost), len(cost[0])
+    return min(
+        sum(cost[i][cols[i]] for i in range(n)) for cols in itertools.permutations(range(m), n)
+    )
+
+
 def accuracy_brute(pred_labels, truth_labels, m_pred, m_truth) -> float:
     """Max matched fraction over every bijection of padded cluster ids."""
     k = max(m_pred, m_truth)

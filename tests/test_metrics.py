@@ -4,9 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossclust.errors import ContractViolationError, ShapeError
-from crossclust.metrics import Partition, accuracy, ari, contingency_table, hungarian, nmi
+from crossclust.metrics import (
+    Partition,
+    _solve_assignment,
+    accuracy,
+    ari,
+    contingency_table,
+    hungarian,
+    nmi,
+)
 
-from oracles import accuracy_brute, hungarian_brute
+from oracles import accuracy_brute, assignment_brute, hungarian_brute
 
 
 def parts(pred, truth, m_pred=None, m_truth=None):
@@ -83,6 +91,21 @@ class TestHungarian:
         assert sorted(hungarian(np.ones((6, 6))).tolist()) == list(range(6))
 
 
+class TestSolveAssignment:
+    def test_rectangular_costs_match_exhaustive_search(self):
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            m = int(rng.integers(1, 8))
+            n = int(rng.integers(1, m + 1))
+            cost = rng.integers(0, 10, size=(n, m)).astype(float)
+            # the 0/1 costs tie between many optima
+            for c in (cost, cost % 2):
+                cols = _solve_assignment(c)
+                assert len(set(cols.tolist())) == n
+                assert c[np.arange(n), cols].sum() == assignment_brute(c.tolist())
+                np.testing.assert_array_equal(_solve_assignment(c), cols)
+
+
 class TestAccuracy:
     def test_identical_partitions(self):
         p, t = parts([0, 1, 2, 0], [0, 1, 2, 0])
@@ -115,7 +138,7 @@ class TestAccuracy:
             )
 
     def test_matches_brute_force_when_one_side_exceeds_the_square_of_the_other(self):
-        # accuracy keeps only each short-side line's largest entries here
+        # tables whose long side exceeds the square of the short side
         rng = np.random.default_rng(6)
         for _ in range(60):
             m_short = int(rng.integers(1, 3))
@@ -131,13 +154,28 @@ class TestAccuracy:
                 want, abs=1e-12
             )
 
-    def test_singleton_truth_classes_score_the_non_empty_clusters(self):
+    @pytest.mark.parametrize("n, clusters", [(100_000, 5), (600, 30)])
+    def test_singleton_truth_classes_score_the_non_empty_clusters(self, n, clusters):
         # each cluster matches one of its rows, so ACC = non-empty clusters / n
-        n = 100_000
-        pred = Partition(np.random.default_rng(7).integers(0, 4, size=n), 5)
+        pred = Partition(np.random.default_rng(7).integers(0, clusters - 1, size=n), clusters)
         singletons = Partition(np.arange(n), n)
-        assert accuracy(pred, singletons) == 4 / n
-        assert accuracy(singletons, pred) == 4 / n
+        assert accuracy(pred, singletons) == (clusters - 1) / n
+        assert accuracy(singletons, pred) == (clusters - 1) / n
+
+    def test_matches_scipy_on_rectangular_tables(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            m_pred = int(rng.integers(1, 41))
+            m_truth = int(rng.integers(1, 301))
+            n = int(rng.integers(1, 2000))
+            p = Partition(rng.integers(0, m_pred, size=n), m_pred)
+            t = Partition(rng.integers(0, m_truth, size=n), m_truth)
+            table = contingency_table(p, t)
+            rows, cols = optimize.linear_sum_assignment(table, maximize=True)
+            want = table[rows, cols].sum() / n
+            assert accuracy(p, t) == want
+            assert accuracy(t, p) == want
 
     def test_symmetry_when_cluster_counts_match(self):
         rng = np.random.default_rng(5)
