@@ -8,6 +8,7 @@ default output root when --out is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -49,40 +50,37 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, default=None, help="output CSV path")
 
-    tr = sub.add_parser("train", help="run both training stages and write artifacts")
-    tr.add_argument("--config", type=Path, default=None, help="YAML config file")
-    tr.add_argument("--data", type=Path, required=True, help="input CSV")
-    tr.add_argument("--label-column", default=None, help="truth label column (evaluation only)")
-    tr.add_argument("--out", type=Path, default=None, help="output directory")
+    # the flags train and sweep share; each names a TrainConfig field by dest
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", type=Path, default=None, help="YAML config file")
+    run.add_argument("--data", type=Path, required=True, help="input CSV")
+    run.add_argument("--label-column", default=None, help="truth label column (evaluation only)")
+    run.add_argument("--out", type=Path, default=None, help="output directory")
+    run.add_argument(
+        "--clusters", dest="M", metavar="CLUSTERS", type=int, default=None, help="override config M"
+    )
+    run.add_argument("--init-epochs", type=int, default=None)
+    run.add_argument("--c3-epochs", type=int, default=None)
+    run.add_argument("--batch-size", type=int, default=None)
+
+    tr = sub.add_parser("train", parents=[run], help="run both training stages and write artifacts")
     tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--clusters", type=int, default=None, help="override config M")
     tr.add_argument("--zeta", type=float, default=None)
     tr.add_argument("--gamma", type=float, default=None)
-    tr.add_argument("--init-epochs", type=int, default=None)
-    tr.add_argument("--c3-epochs", type=int, default=None)
     tr.add_argument("--init-lr", type=float, default=None)
     tr.add_argument("--c3-lr", type=float, default=None)
-    tr.add_argument("--batch-size", type=int, default=None)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", type=Path, required=True)
     ev.add_argument("--data", type=Path, required=True)
     ev.add_argument("--label-column", default=None)
 
-    sw = sub.add_parser("sweep", help="grid of train runs over zeta or gamma")
+    sw = sub.add_parser("sweep", parents=[run], help="grid of train runs over zeta or gamma")
     sw.add_argument("--param", choices=("gamma", "zeta"), required=True)
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.add_argument("--seeds", required=True, help="comma-separated seeds")
-    sw.add_argument("--config", type=Path, default=None)
-    sw.add_argument("--data", type=Path, required=True)
-    sw.add_argument("--label-column", default=None)
-    sw.add_argument("--out", type=Path, default=None, help="sweep output directory")
     sw.add_argument("--jobs", type=int, default=1, help="parallel runs")
     sw.add_argument("--resume", action="store_true", help="skip completed run directories")
-    sw.add_argument("--clusters", type=int, default=None)
-    sw.add_argument("--init-epochs", type=int, default=None)
-    sw.add_argument("--c3-epochs", type=int, default=None)
-    sw.add_argument("--batch-size", type=int, default=None)
 
     rp = sub.add_parser("report", help="flatten history files into a tidy CSV")
     rp.add_argument("--history", type=Path, nargs="+", required=True)
@@ -90,20 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_train_config(args, parser) -> TrainConfig:
+def _load_train_config(args) -> TrainConfig:
+    """The --config file or the defaults, overridden by every TrainConfig flag given."""
     config = load_config(args.config) if args.config else TrainConfig()
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "M": getattr(args, "clusters", None),
-        "zeta": getattr(args, "zeta", None),
-        "gamma": getattr(args, "gamma", None),
-        "init_epochs": getattr(args, "init_epochs", None),
-        "c3_epochs": getattr(args, "c3_epochs", None),
-        "init_lr": getattr(args, "init_lr", None),
-        "c3_lr": getattr(args, "c3_lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-    }
-    return config.override(**overrides)
+    return config.override(**{k: v for k, v in vars(args).items() if k in TrainConfig.__dataclass_fields__})
 
 
 def _run_training(config: TrainConfig, data_path, label_column, out_dir: Path) -> dict:
@@ -149,7 +137,7 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_train(args, parser) -> int:
-    config = _load_train_config(args, parser)
+    config = _load_train_config(args)
     out_dir = args.out or _out_root() / "train"
     summary = _run_training(config, args.data, args.label_column, out_dir)
     _log(f"training complete; artifacts in {out_dir}")
@@ -260,16 +248,17 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--values and --seeds must be non-empty")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    base_config = _load_train_config(args, parser)
-    try:  # sweep values obey the same ranges as train's flags
-        configs = [base_config.override(**{args.param: value}) for value in values]
-    except ConfigError as exc:
-        parser.error(f"--values: {exc}")
+    base_config = _load_train_config(args)
     value_dirs = [f"{args.param}={value:g}" for value in values]
-    for flag, items, names in (
-        ("--values", values, value_dirs),
-        ("--seeds", seeds, [f"seed={seed}" for seed in seeds]),
+    for flag, key, items, names in (
+        ("--values", args.param, values, value_dirs),
+        ("--seeds", "seed", seeds, [f"seed={seed}" for seed in seeds]),
     ):
+        try:  # sweep values and seeds obey the same ranges as train's flags
+            for item in items:
+                base_config.override(**{key: item})
+        except ConfigError as exc:
+            parser.error(f"{flag}: {exc}")
         shared = {}
         for item, name in zip(items, names):
             shared.setdefault(name, []).append(repr(item))
@@ -281,12 +270,12 @@ def cmd_sweep(args, parser) -> int:
 
     jobs = []
     skipped = []
-    for value_dir, config in zip(value_dirs, configs):
+    for value_dir, value in zip(value_dirs, values):
         for seed in seeds:
             run_dir = out_dir / value_dir / f"seed={seed}"
             job = {
                 "param": args.param,
-                "config": config.override(seed=seed),
+                "config": base_config.override(**{args.param: value, "seed": seed}),
                 "data": str(args.data),
                 "label_column": args.label_column,
                 "run_dir": run_dir,
@@ -342,16 +331,13 @@ def cmd_report(args, parser) -> int:
             row.update(_record_row(record))
             rows.append(row)
     if args.out:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
+        out = open(args.out, "w", encoding="utf-8", newline="")
     else:
-        fh = sys.stdout
-    try:
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            fh.close()
     return 0
 
 

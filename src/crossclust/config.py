@@ -1,8 +1,12 @@
 """Run configuration: the full hyperparameter set and its YAML loader.
 
-Config files are YAML mappings; every field has a default, partial files
-override only what they name, and unknown keys are rejected so typos fail
-loudly.  Precedence elsewhere in the package is flags > file > defaults.
+Every config is valid by construction: ``TrainConfig``, ``DimsSpec`` and
+``AugmentConfig`` check each field in ``__post_init__``, so a bad value
+raises :class:`ConfigError` where the config is built, and
+``dataclasses.replace`` checks again.  Config files are YAML mappings; every
+field has a default, partial files override only what they name, and unknown
+keys are rejected so typos fail loudly.  Precedence elsewhere in the package
+is flags > file > defaults.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from .augment import AugmentConfig
 from .errors import ConfigError
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, minimum: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(name, f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(name, f"must be >= {minimum}, got {value}")
 
 
 def check_zeta(zeta: float) -> None:
@@ -44,14 +50,18 @@ class DimsSpec:
     z_dim: int = 32
 
     def __post_init__(self):
-        if not isinstance(self.hidden, (list, tuple)):
-            raise ConfigError("dims.hidden", f"must be a list of integers, got {self.hidden!r}")
+        if not isinstance(self.hidden, (list, tuple)) or not self.hidden:
+            raise ConfigError("dims.hidden", f"must be a non-empty list of integers, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
         for width in self.hidden:
-            _require_int("dims.hidden", width)
+            _require_int("dims.hidden", width, 1)
         if self.input_dim is not None:
-            _require_int("dims.input_dim", self.input_dim)
-        _require_int("dims.z_dim", self.z_dim)
+            _require_int("dims.input_dim", self.input_dim, 1)
+        _require_int("dims.z_dim", self.z_dim, 1)
+
+
+# TrainConfig's integer fields and their least values
+_INT_MINIMA = {"M": 2, "init_epochs": 0, "c3_epochs": 0, "batch_size": 2, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -70,87 +80,58 @@ class TrainConfig:
     dims: DimsSpec = field(default_factory=DimsSpec)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
-    def validate(self) -> "TrainConfig":
-        if self.M < 2:
-            raise ConfigError("M", f"cluster count must be >= 2, got {self.M}")
-        check_zeta(self.zeta)
-        for name in ("gamma", "tau_I", "tau_C", "init_lr", "c3_lr"):
-            check_positive(name, getattr(self, name))
-        if self.init_epochs < 0:
-            raise ConfigError("init_epochs", f"must be >= 0, got {self.init_epochs}")
-        if self.c3_epochs < 0:
-            raise ConfigError("c3_epochs", f"must be >= 0, got {self.c3_epochs}")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size", f"must be >= 2, got {self.batch_size}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
-        if self.dims.input_dim is not None and self.dims.input_dim < 1:
-            raise ConfigError("dims.input_dim", f"must be positive, got {self.dims.input_dim}")
-        if self.dims.z_dim < 1:
-            raise ConfigError("dims.z_dim", f"must be positive, got {self.dims.z_dim}")
-        if not self.dims.hidden or any(w < 1 for w in self.dims.hidden):
-            raise ConfigError("dims.hidden", f"widths must be positive, got {self.dims.hidden}")
-        return self
+    def __post_init__(self):
+        for name, minimum in _INT_MINIMA.items():
+            _require_int(name, getattr(self, name), minimum)
+        for name in ("zeta", "gamma", "tau_I", "tau_C", "init_lr", "c3_lr"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"must be a number, got {value!r}") from None
+            if name == "zeta":
+                check_zeta(self.zeta)
+            else:
+                check_positive(name, getattr(self, name))
+        for name, cls in (("dims", DimsSpec), ("augment", AugmentConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise ConfigError(name, f"expected {cls.__name__}, got {type(value).__name__}")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["dims"]["hidden"] = list(self.dims.hidden)
-        out["augment"]["scale_range"] = list(self.augment.scale_range)
-        return out
+        return asdict(self)
 
     def override(self, **kwargs) -> "TrainConfig":
-        provided = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **provided).validate() if provided else self
+        """A copy with every field given a value other than None replaced."""
+        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
-def _build_section(cls, raw: dict, section: str):
+def _known_fields(cls, raw, section: str | None = None) -> dict:
+    """``raw``, once it is a mapping whose keys are all fields of ``cls``."""
     if not isinstance(raw, dict):
-        raise ConfigError(section, f"expected a mapping, got {type(raw).__name__}")
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(raw) - known
+        raise ConfigError(section or "config", f"expected a mapping, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(cls.__dataclass_fields__), key=str)
     if unknown:
-        raise ConfigError(f"{section}.{sorted(unknown)[0]}", "unknown field")
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(section, str(exc)) from None
+        raise ConfigError(f"{section}.{unknown[0]}" if section else str(unknown[0]), "unknown field")
+    return raw
 
 
-_INT_FIELDS = ("M", "init_epochs", "c3_epochs", "batch_size", "seed")
-_FLOAT_FIELDS = ("zeta", "gamma", "tau_I", "tau_C", "init_lr", "c3_lr")
-
-
-def config_from_dict(raw: dict) -> TrainConfig:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config", f"expected a mapping, got {type(raw).__name__}")
-    known = {f for f in TrainConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
-    kwargs = dict(raw)
-    for name in _INT_FIELDS:
+def config_from_dict(raw: dict | None) -> TrainConfig:
+    kwargs = dict(_known_fields(TrainConfig, {} if raw is None else raw))
+    for name, cls in (("dims", DimsSpec), ("augment", AugmentConfig)):
         if name in kwargs:
-            _require_int(name, kwargs[name])
-    for name in _FLOAT_FIELDS:
-        if name in kwargs:
-            try:
-                kwargs[name] = float(kwargs[name])
-            except (TypeError, ValueError):
-                raise ConfigError(name, f"must be a number, got {kwargs[name]!r}") from None
-    if "dims" in kwargs:
-        kwargs["dims"] = _build_section(DimsSpec, kwargs["dims"], "dims")
-    if "augment" in kwargs:
-        kwargs["augment"] = _build_section(AugmentConfig, kwargs["augment"], "augment")
-    return TrainConfig(**kwargs).validate()
+            kwargs[name] = cls(**_known_fields(cls, kwargs[name], name))
+    return TrainConfig(**kwargs)
 
 
 def load_config(path) -> TrainConfig:
-    """Parse a YAML config file, fill defaults, and validate invariants."""
+    """Parse a YAML config file and fill defaults; raises ConfigError on any bad value."""
     import yaml  # imported here: only a config file needs PyYAML
 
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8 text: {exc.reason}") from None
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -137,6 +137,8 @@ def generate_blobs(
         raise ConfigError("d", f"need at least 2 features, got {d}")
     if separation <= 0 or sigma <= 0:
         raise ConfigError("separation", "separation and sigma must be positive")
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     min_dist = separation * sigma
     # Center scale targets typical pairwise distances only modestly above the

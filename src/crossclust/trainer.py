@@ -85,14 +85,20 @@ def write_history(records, path) -> None:
 
 
 def read_history(path) -> list[EpochRecord]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
     records = []
     valid = set(EpochRecord.__dataclass_fields__)
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             raw = json.loads(line)
-            if not isinstance(raw, dict) or not set(raw) <= valid:
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+            if not set(raw) <= valid:
                 raise ValueError(f"unexpected fields {sorted(set(raw) - valid)}")
             records.append(EpochRecord(**raw))
         except (ValueError, TypeError) as exc:
@@ -323,7 +329,6 @@ def _run_stage(stage, params, config, data, epochs):
 
 def train_init(config: TrainConfig, data: Dataset) -> tuple[ModelParams, list[EpochRecord]]:
     """Initialization stage: instance + cluster contrastive losses, summed."""
-    config.validate()
     params = init_params(_stream(config.seed, "params"), _model_dims(config, data))
     return _run_stage(STAGE_INIT, params, config, data, config.init_epochs)
 
@@ -333,7 +338,6 @@ def train_c3(
 ) -> tuple[ModelParams, list[EpochRecord]]:
     """Refinement stage.  Epoch 0 is an evaluation-only pass over the
     initialized model; epochs 1..c3_epochs update encoder and instance head."""
-    config.validate()
     return _run_stage(STAGE_C3, params, config, data, config.c3_epochs)
 
 
@@ -343,7 +347,6 @@ def train(config: TrainConfig, data: Dataset) -> tuple[ModelParams, list[EpochRe
     Returns the trained parameters and the epoch records: init epochs
     1..init_epochs, then c3 epochs 0..c3_epochs (none when c3_epochs is 0).
     """
-    config.validate()
     params, init_records = train_init(config, data)
     params, c3_records = train_c3(params, config, data)
     return params, init_records + c3_records

@@ -167,6 +167,25 @@ class TestTrain:
         assert f"config field '{field}'" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_config_is_one_line_error(self, tmp_path, blobs_csv, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(b"zeta: \xff\n")
+        code = main(["train", "--config", str(cfg), "--data", str(blobs_csv), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config field 'config': {cfg} is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, blobs_csv, capsys, command):
+        args = ["--data", str(blobs_csv)] if command == "train" else []
+        capsys.readouterr()
+        code = main([command, *args, "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: config field 'seed': must be >= 0, got -1\n"
+
     def test_zero_norm_embedding_is_one_line_error(self, tmp_path, capsys):
         data = tmp_path / "d2.csv"
         blobs = ["--n", "200", "--d", "2", "--clusters", "3", "--sep", "6", "--sigma", "1"]
@@ -480,6 +499,25 @@ class TestReport:
         assert "row 2" in capsys.readouterr().err
 
 
+    def test_non_utf8_history_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "history.jsonl"
+        bad.write_bytes(b'{"stage": "init\xff"}\n')
+        code = main(["report", "--history", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad} is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_history_line_that_is_not_an_object_says_so(self, tmp_path, capsys):
+        bad = tmp_path / "history.jsonl"
+        bad.write_text("5\n")
+        code = main(["report", "--history", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: malformed history line: expected a JSON object, got int (row 1)\n"
+
+
 class TestSweep:
     def test_grid_runs_and_aggregate(self, tmp_path, blobs_csv):
         out = tmp_path / "sweep"
@@ -631,6 +669,25 @@ class TestSweep:
         assert exc.value.code == 2
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("seeds", ["-3", "0,-3"])
+    def test_negative_seed_is_usage_error(self, tmp_path, blobs_csv, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "sweep",
+                    "--param", "zeta",
+                    "--values", "0.5",
+                    "--seeds", seeds,
+                    "--data", str(blobs_csv),
+                    "--out", str(tmp_path / "s"),
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "crossclust: error: --seeds: config field 'seed': must be >= 0, got -3"
+        assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize(
         "values, seeds, named",
         [
@@ -739,6 +796,24 @@ class TestSweep:
         statuses = {line.split(",")[3] for line in rows[1:]}
         assert statuses == {"ok", "failed"}
         assert (out / "gamma=5" / "seed=0" / "error.txt").read_text().startswith("RuntimeError")
+
+
+class TestFlags:
+    def test_train_and_sweep_option_strings_are_pinned(self):
+        import argparse
+
+        from crossclust.cli import build_parser
+
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        shared = {"-h", "--help", "--config", "--data", "--label-column", "--out", "--clusters",
+                  "--init-epochs", "--c3-epochs", "--batch-size"}
+        options = {
+            name: {o for action in commands[name]._actions for o in action.option_strings}
+            for name in ("train", "sweep")
+        }
+        assert options["train"] == shared | {"--seed", "--zeta", "--gamma", "--init-lr", "--c3-lr"}
+        assert options["sweep"] == shared | {"--param", "--values", "--seeds", "--jobs", "--resume"}
 
 
 class TestImportCost:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import pickle
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crossclust import data as data_module
+from crossclust.augment import AugmentConfig
 from crossclust import parallel
 from crossclust.cli import main
 from crossclust.config import DimsSpec, TrainConfig, config_from_dict, load_config
@@ -66,6 +68,8 @@ class TestGenerateBlobs:
             generate_blobs(seed=0, n=10, d=1, clusters=2, separation=6.0, sigma=1.0)
         with pytest.raises(ConfigError):
             generate_blobs(seed=0, n=10, d=4, clusters=2, separation=-1.0, sigma=1.0)
+        with pytest.raises(ConfigError, match="'seed': must be >= 0, got -1"):
+            generate_blobs(seed=-1, n=10, d=4, clusters=2, separation=6.0, sigma=1.0)
 
 
 class TestStandardize:
@@ -833,3 +837,52 @@ class TestTrainConfig:
         cfg = TrainConfig(M=5, zeta=0.3, dims=DimsSpec(hidden=(10, 4), z_dim=2))
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"M": "8"}, "M"),
+            ({"batch_size": 16.0}, "batch_size"),
+            ({"init_epochs": 1.5}, "init_epochs"),
+            ({"seed": -1}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"dims": {"hidden": [8]}}, "dims"),
+            ({"augment": {"mask_rate": 0.5}}, "augment"),
+            ({"zeta": "abc"}, "zeta"),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, dict) else v,
+    )
+    def test_malformed_field_raises_at_construction(self, kwargs, field):
+        with pytest.raises(ConfigError, match=f"'{field}'") as exc:
+            TrainConfig(**kwargs)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"hidden": ()}, "dims.hidden"),
+            ({"hidden": (8, 0)}, "dims.hidden"),
+            ({"z_dim": 0}, "dims.z_dim"),
+            ({"input_dim": 0}, "dims.input_dim"),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, dict) else v,
+    )
+    def test_dims_ranges_checked_at_construction(self, kwargs, field):
+        with pytest.raises(ConfigError) as exc:
+            DimsSpec(**kwargs)
+        assert exc.value.field == field
+
+    def test_unknown_keys_of_mixed_types_rejected(self):
+        with pytest.raises(ConfigError, match="unknown field"):
+            config_from_dict({1: 2, "a": 3})
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            dataclasses.replace(TrainConfig(), batch_size=1)
+
+    def test_to_dict_writes_sequences_as_json_lists(self):
+        import json
+
+        cfg = TrainConfig(dims=DimsSpec(hidden=[10, 4]), augment=AugmentConfig(scale_range=[0.8, 1.2]))
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert '"hidden": [10, 4]' in text and '"scale_range": [0.8, 1.2]' in text

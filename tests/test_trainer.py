@@ -247,7 +247,7 @@ def validated_runs(draw):
         seed=draw(st.integers(0, 2**16)),
         dims=DimsSpec(hidden=(draw(st.integers(8, 32)),), z_dim=draw(st.integers(1, 4))),
         augment=AugmentConfig(mask_rate=draw(st.floats(0.0, 0.99))),
-    ).validate()
+    )
     x = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
     truth = Partition(draw(arrays(np.int64, n, elements=st.integers(0, m - 1))), m)
     return cfg, Dataset(X=x, truth=truth)
