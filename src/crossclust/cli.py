@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -85,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="flatten history files into a tidy CSV")
     rp.add_argument("--history", type=Path, nargs="+", required=True)
     rp.add_argument("--out", type=Path, default=None, help="output CSV (default stdout)")
+    for command in sub.choices.values():  # its usage errors print its own usage line
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -126,8 +129,9 @@ def cmd_generate(args, parser) -> int:
         parser.error("--clusters must be >= 2")
     if args.n < args.clusters:
         parser.error("--n must be >= --clusters")
-    if args.sep <= 0 or args.sigma <= 0:
-        parser.error("--sep and --sigma must be positive")
+    for flag, value in (("--sep", args.sep), ("--sigma", args.sigma)):
+        if not 0 < value < math.inf:
+            parser.error(f"{flag} must be positive and finite, got {value}")
     out = args.out or _out_root() / "blobs.csv"
     dataset = generate_blobs(args.seed, args.n, args.d, args.clusters, args.sep, args.sigma)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -354,7 +358,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, args.command_parser)
     except (CrossclustError, OSError, RuntimeError) as exc:
         _log(f"error: {exc}")
         return 1

@@ -11,6 +11,7 @@ is flags > file > defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -32,9 +33,10 @@ def check_zeta(zeta: float) -> None:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Temperatures, the weight concentration and learning rates must be > 0."""
-    if not value > 0:
-        raise ConfigError(name, f"must be positive, got {value}")
+    """Temperatures, the weight concentration, learning rates and the blob
+    scales must be positive and finite."""
+    if not 0 < value < math.inf:
+        raise ConfigError(name, f"must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import parallel
+from .config import check_positive
 from .errors import ConfigError, CsvFormatError
 from .metrics import Partition
 
@@ -135,8 +136,8 @@ def generate_blobs(
         raise ConfigError("n", f"need n >= clusters, got n={n}, clusters={clusters}")
     if d < 2:
         raise ConfigError("d", f"need at least 2 features, got {d}")
-    if separation <= 0 or sigma <= 0:
-        raise ConfigError("separation", "separation and sigma must be positive")
+    check_positive("separation", separation)
+    check_positive("sigma", sigma)
     if seed < 0:
         raise ConfigError("seed", f"must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -67,6 +67,27 @@ class TestGenerate:
             main(["generate", "--clusters", "1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_usage_error_prints_the_generate_usage_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--clusters", "1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crossclust generate ")
+        assert err.splitlines()[-1] == "crossclust generate: error: --clusters must be >= 2"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--sep", "inf"), ("--sep", "nan"), ("--sigma", "nan"), ("--sigma", "inf")]
+    )
+    def test_non_finite_scale_is_a_usage_error_naming_its_flag(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", flag, value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"crossclust generate: error: {flag} must be positive and finite, got {value}"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_env_var_sets_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSSCLUST_OUT", str(tmp_path / "root"))
         assert main(["generate", *BLOBS_ARGS]) == 0
@@ -199,6 +220,32 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert re.search(r"stage 'init' at epoch 1, batch \d+: view [ab] of dataset row \d+$", err)
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--init-lr", "init_lr"), ("--c3-lr", "c3_lr"), ("--gamma", "gamma")]
+    )
+    def test_infinite_rate_or_gamma_fails_where_the_config_is_built(
+        self, tmp_path, blobs_csv, capsys, monkeypatch, flag, field
+    ):
+        import crossclust.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "train", lambda *args: pytest.fail("training started"))
+        capsys.readouterr()
+        code = main(["train", "--data", str(blobs_csv), flag, "inf", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config field '{field}': must be positive and finite, got inf\n"
+
+    def test_parameters_that_overflow_stop_at_a_located_batch(self, tmp_path, capsys):
+        data = tmp_path / "d32.csv"
+        assert main(["generate", "--n", "300", "--d", "32", "--clusters", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        args = ["--init-epochs", "2", "--c3-epochs", "1", "--clusters", "3", "--c3-lr", "1e300"]
+        code = main(["train", "--data", str(data), *args, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert re.fullmatch(r"error: non-finite forward pass in stage 'c3' at epoch 1, batch \d+: .*\n", err)
 
     def test_missing_data_exits_nonzero(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
@@ -684,7 +731,10 @@ class TestSweep:
             )
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "crossclust: error: --seeds: config field 'seed': must be >= 0, got -3"
+        assert err.startswith("usage: crossclust sweep ")
+        assert err.splitlines()[-1] == (
+            "crossclust sweep: error: --seeds: config field 'seed': must be >= 0, got -3"
+        )
         assert "Traceback" not in err
         assert not (tmp_path / "s").exists()
 

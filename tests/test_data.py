@@ -71,6 +71,13 @@ class TestGenerateBlobs:
         with pytest.raises(ConfigError, match="'seed': must be >= 0, got -1"):
             generate_blobs(seed=-1, n=10, d=4, clusters=2, separation=6.0, sigma=1.0)
 
+    @pytest.mark.parametrize("field", ["separation", "sigma"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_scale_that_is_not_positive_and_finite_names_its_field(self, field, value):
+        scales = {"separation": 6.0, "sigma": 1.0, field: value}
+        with pytest.raises(ConfigError, match=f"field '{field}': must be positive and finite"):
+            generate_blobs(seed=0, n=10, d=4, clusters=2, **scales)
+
 
 class TestStandardize:
     def test_zero_mean_unit_std(self):
@@ -826,6 +833,9 @@ class TestTrainConfig:
     def test_invariant_violations_named(self):
         with pytest.raises(ConfigError, match="gamma"):
             config_from_dict({"gamma": 0.0})
+        for field in ("gamma", "tau_I", "tau_C", "init_lr", "c3_lr"):
+            with pytest.raises(ConfigError, match=f"'{field}': must be positive and finite, got inf"):
+                config_from_dict({field: float("inf")})
         with pytest.raises(ConfigError, match="batch_size"):
             config_from_dict({"batch_size": 1})
         with pytest.raises(ConfigError, match="M"):

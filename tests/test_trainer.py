@@ -187,6 +187,23 @@ class TestNonFiniteAbort:
             train(cfg, small_data)
 
 
+    def test_non_finite_parameters_after_an_adam_step_name_stage_epoch_batch(
+        self, small_data, monkeypatch
+    ):
+        import crossclust.trainer as trainer
+
+        real = trainer.adam_step
+
+        def overflowing(params, grads, state, lr):
+            params, state = real(params, grads, state, lr=lr)
+            return replace(params, flat=np.full_like(params.flat, np.inf)), state
+
+        monkeypatch.setattr(trainer, "adam_step", overflowing)
+        message = r"non-finite parameters after the Adam step in stage 'init' at epoch 1, batch 0$"
+        with pytest.raises(NonFiniteError, match=message):
+            train(SMALL_CFG, small_data)
+
+
 class TestStepMemory:
     def test_c3_stage_holds_one_pairwise_buffer_at_batch_512(self):
         # one 1024 x 1024 float64 buffer is 8 MiB; keeping the mask, the
@@ -215,9 +232,9 @@ class TestStepMemory:
         params = init_params(0, ModelDims(input_dim=32, num_clusters=5))
         alive = []
 
-        def views(epoch, batch, idx):
+        def views(stage, epoch, batch, idx):
             alive.append(tracemalloc.get_traced_memory()[0])
-            return trainer._augment(trainer.STAGE_INIT, cfg, data, epoch, batch, idx)
+            return trainer._augment(cfg, data, stage, epoch, batch, idx)
 
         state = trainer.AdamState.zeros(params)
         tracemalloc.start()
@@ -578,7 +595,7 @@ class TestAugmentationProducer:
         want = train_in_process(cfg, PRODUCER_DATA, monkeypatch)
         forked = count_producers(monkeypatch, cpus=2)
         got = train(cfg, PRODUCER_DATA)
-        assert forked == ["_send_views", "_send_views"]  # one per stage
+        assert forked == ["_send_views"]  # one for the run's two stages
         assert_same_run(got, want)
         assert_no_child_process()
 
@@ -601,9 +618,9 @@ class TestAugmentationProducer:
         monkeypatch.setattr(trainer, "augment_batch", producer_killed_after_first_batch)
         forked = count_producers(monkeypatch, cpus=2)
         got = train(PRODUCER_CFG, PRODUCER_DATA)
-        assert len(forked) == 2
+        assert len(forked) == 1
         batches = (PRODUCER_CFG.init_epochs + PRODUCER_CFG.c3_epochs + 1) * 2
-        assert len(here) == batches - 2  # each stage read its first batch from the producer
+        assert len(here) == batches - 1  # only the run's first batch came from the producer
         assert_same_run(got, want)
         assert_no_child_process()
 
@@ -626,7 +643,7 @@ class TestAugmentationProducer:
             assert get_threads() == threads
         finally:
             set_threads(before)
-        assert len(forked) == (2 if cpus >= 2 else 0)
+        assert len(forked) == (1 if cpus >= 2 else 0)
         assert_same_run(got, want)
 
     @needs_blas
@@ -654,7 +671,7 @@ class TestAugmentationProducer:
         else:
             with pytest.raises(NonFiniteError if ending == "non_finite" else KeyboardInterrupt):
                 train(SMALL_CFG, small_data)
-        assert len(forked) == 2 and seen and set(seen) == {1}
+        assert len(forked) == 1 and seen and set(seen) == {1}
         assert get_threads() == before
         assert_no_child_process()
 
@@ -671,7 +688,7 @@ class TestAugmentationProducer:
             monkeypatch.setattr(parallel, "openblas", lambda: None)
         got = train(SMALL_CFG, small_data)
         producer = case == "real_affinity" and BLAS is not None and len(os.sched_getaffinity(0)) >= 2
-        assert len(forked) == (2 if producer else 0)
+        assert len(forked) == (1 if producer else 0)
         assert_same_run(got, want)
 
     @needs_blas
@@ -687,7 +704,7 @@ class TestAugmentationProducer:
         count_producers(monkeypatch, cpus=2)
         monkeypatch.setattr(os, "fork", no_process_to_spare)
         got = train(SMALL_CFG, small_data)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert_same_run(got, want)
         assert get_threads() == before
 
@@ -748,7 +765,7 @@ class TestStageHelper:
             got = train(cfg, data)
         finally:
             set_threads(before)
-        assert len(helpers) == (2 if 2 * batch_size >= trainer._HELPER_MIN_ROWS else 0)
+        assert len(helpers) == (1 if 2 * batch_size >= trainer._HELPER_MIN_ROWS else 0)
         assert_same_run(got, want)
         assert_main_thread_only()
 
@@ -793,7 +810,7 @@ class TestStageHelper:
         threads = 1 if blas else before  # whatever the CPU count
         helper = blas and cpus >= 2 and 2 * cfg.batch_size >= trainer._HELPER_MIN_ROWS
         assert seen and set(seen) == {(threads, helper)}
-        assert helpers == ([2, 2] if helper else [])  # the main thread and one helper
+        assert helpers == ([2] if helper else [])  # the main thread and one helper
         assert get_threads() == before
 
     @needs_blas
@@ -816,8 +833,8 @@ class TestStageHelper:
             data = load_csv(path, "label")
             params, _ = train(HELPER_CFG, data)
             load_eval_rows(params, Standardization.of(data), path, "label")
-        assert len(helpers) == 4
-        assert forks == [("_send_views", 1), ("_send_views", 1), ("_send_part", 1)] * 2
+        assert len(helpers) == 2
+        assert forks == [("_send_views", 1), ("_send_part", 1)] * 2
         assert_no_child_process()
 
     @needs_blas
@@ -840,7 +857,7 @@ class TestStageHelper:
         else:
             with pytest.raises(NonFiniteError if ending == "non_finite" else KeyboardInterrupt):
                 train(HELPER_CFG, HELPER_DATA)
-        assert helpers == [2, 2]
+        assert helpers == [2]
         assert_main_thread_only()
         assert_no_child_process()
 
@@ -855,8 +872,130 @@ class TestStageHelper:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread_to_spare)
         got = train(HELPER_CFG, HELPER_DATA)
-        assert helpers == [1, 1]  # both stages went on without a helper
+        assert helpers == [1]  # the run went on without a helper
         assert_same_run(got, want)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Return the list that gets the parameters of every ``evaluate`` call."""
+    import crossclust.trainer as trainer
+
+    calls, real = [], trainer.evaluate
+
+    def counting(params, data):
+        calls.append(params)
+        return real(params, data)
+
+    monkeypatch.setattr(trainer, "evaluate", counting)
+    return calls
+
+
+def scores_of(record):
+    return record.acc, record.nmi, record.ari
+
+
+class TestRunLevelProducer:
+    @needs_blas
+    def test_train_forks_one_producer_that_augments_both_stages(self, monkeypatch):
+        import crossclust.trainer as trainer
+
+        parent, augment, here = os.getpid(), trainer.augment_batch, []
+
+        def watched(*args, **kwargs):
+            if os.getpid() == parent:
+                here.append(None)
+            return augment(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "augment_batch", watched)
+        forked = count_producers(monkeypatch, cpus=2)
+        train(PRODUCER_CFG, PRODUCER_DATA)
+        assert forked == ["_send_views"]
+        assert here == []  # every view of both stages came down the one pipe
+        assert_no_child_process()
+
+    @needs_blas
+    def test_each_stage_called_alone_forks_one_producer(self, monkeypatch):
+        want = train_in_process(PRODUCER_CFG, PRODUCER_DATA, monkeypatch)
+        forked = count_producers(monkeypatch, cpus=2)
+        params, init_records = train_init(PRODUCER_CFG, PRODUCER_DATA)
+        assert forked == ["_send_views"]
+        params, c3_records = train_c3(params, PRODUCER_CFG, PRODUCER_DATA)
+        assert forked == ["_send_views"] * 2
+        assert_same_run((params, init_records + c3_records), want)
+        assert_no_child_process()
+
+    @needs_blas
+    def test_producer_killed_during_init_leaves_c3_in_process_with_the_same_bits(self, monkeypatch):
+        import crossclust.trainer as trainer
+
+        want = train_in_process(PRODUCER_CFG, PRODUCER_DATA, monkeypatch)
+        parent, augment, here = os.getpid(), trainer._augment, []
+
+        def killed_at_init_epoch_2(config, data, stage, epoch, batch, idx):
+            if os.getpid() == parent:
+                here.append((stage, epoch))
+            elif (stage, epoch) == ("init", 2):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return augment(config, data, stage, epoch, batch, idx)
+
+        monkeypatch.setattr(trainer, "_augment", killed_at_init_epoch_2)
+        forked = count_producers(monkeypatch, cpus=2)
+        got = train(PRODUCER_CFG, PRODUCER_DATA)
+        assert forked == ["_send_views"]
+        assert here == [("init", 2)] * 2 + [("c3", 0)] * 2 + [("c3", 1)] * 2
+        assert_same_run(got, want)
+        assert_no_child_process()
+
+    def test_train_evaluates_each_epoch_once_and_c3_epoch_zero_takes_inits_last_scores(
+        self, small_data, monkeypatch
+    ):
+        want = evaluate(train_init(SMALL_CFG, small_data)[0], small_data)
+        calls = count_evaluations(monkeypatch)
+        _, records = train(SMALL_CFG, small_data)
+        assert len(calls) == SMALL_CFG.init_epochs + SMALL_CFG.c3_epochs
+        init_last, c3_zero = records[SMALL_CFG.init_epochs - 1 : SMALL_CFG.init_epochs + 1]
+        assert (init_last.stage, c3_zero.stage, c3_zero.epoch) == ("init", "c3", 0)
+        assert scores_of(c3_zero) == scores_of(init_last) == (want["acc"], want["nmi"], want["ari"])
+
+    def test_without_init_epochs_c3_epoch_zero_is_evaluated(self, small_data, monkeypatch):
+        cfg = SMALL_CFG.override(init_epochs=0)
+        want = evaluate(train_init(cfg, small_data)[0], small_data)
+        calls = count_evaluations(monkeypatch)
+        _, records = train(cfg, small_data)
+        assert len(calls) == cfg.c3_epochs + 1
+        assert (records[0].stage, records[0].epoch) == ("c3", 0)
+        assert scores_of(records[0]) == (want["acc"], want["nmi"], want["ari"])
+
+    @needs_blas
+    def test_nothing_forks_for_a_batch_larger_than_the_data_or_without_epochs(
+        self, small_data, monkeypatch
+    ):
+        forked = count_producers(monkeypatch, cpus=2)
+        with pytest.raises(ConfigError, match="batch_size"):
+            train(SMALL_CFG.override(init_epochs=0, batch_size=small_data.n + 1), small_data)
+        _, records = train(SMALL_CFG.override(init_epochs=0, c3_epochs=0), small_data)
+        assert records == [] and forked == []
+
+    @needs_blas
+    @pytest.mark.parametrize("objective, stage", [("instance_objective", "init"), ("c3_objective", "c3")])
+    def test_non_finite_stop_in_either_stage_ends_the_run_cleanly(self, monkeypatch, objective, stage):
+        import crossclust.trainer as trainer
+
+        get_threads, real = BLAS.get_threads, getattr(trainer, objective)
+        before, helpers = get_threads(), watch_helpers(monkeypatch)
+
+        def poisoned(*args, **kwargs):
+            _, d_s, pairs = real(*args, **kwargs)
+            return float("nan"), d_s, pairs
+
+        monkeypatch.setattr(trainer, objective, poisoned)
+        forked = count_producers(monkeypatch, cpus=2)
+        with pytest.raises(NonFiniteError, match=f"stage '{stage}'"):
+            train(HELPER_CFG, HELPER_DATA)
+        assert forked == ["_send_views"] and helpers == [2]
+        assert get_threads() == before
+        assert_main_thread_only()
+        assert_no_child_process()
 
 
 BLOCK_ROWS = 8  # rows per label block in the tests below
